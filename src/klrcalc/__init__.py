@@ -2,8 +2,8 @@
 a polynomial oracle, and invertible witness bijections."""
 
 from .errors import (ContainmentError, DegreeError, DimensionMismatch,
-                     DomainError, InternalInvariantError, InvalidMark,
-                     KLRError, NotRotatedShape, NotStraightShape,
+                     DomainError, InputError, InternalInvariantError,
+                     InvalidMark, KLRError, NotRotatedShape, NotStraightShape,
                      NotSymmetric, ResidualNonzero)
 from .grothendieck import (BasisExpansion, SparseIntPolynomial,
                            expand_in_g_basis, expand_in_schur_basis,

@@ -11,9 +11,11 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import grothendieck, jsonio, lr, verify
-from .errors import DomainError, KLRError, NotRotatedShape, NotStraightShape
+from .errors import (DomainError, InputError, KLRError, NotRotatedShape,
+                     NotStraightShape)
 from .gtpatterns import omega, omega_inverse, upsilon, upsilon_inverse
 from .shapes import Partition, rotate, skew
 from .tableaux import (column_word, enumerate_svt, is_dominant,
@@ -69,15 +71,27 @@ def _shape(text: str):
 
 def _max_cap_guard(cap: int) -> None:
     limit = os.environ.get("KLR_MAX_CAP")
-    if limit is not None and cap > int(limit):
+    if limit is None:
+        return
+    try:
+        bound = int(limit)
+    except ValueError:
+        raise InputError(f"KLR_MAX_CAP={limit!r} is not an integer") from None
+    if cap > bound:
         raise DomainError(f"cap {cap} exceeds KLR_MAX_CAP={limit}")
 
 
 def _read_input(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {name}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{name} is not valid JSON: {exc}") from None
 
 
 def _cmd_coeff(args) -> int:
@@ -198,6 +212,7 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="klrcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,9 +277,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except KLRError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

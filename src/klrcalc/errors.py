@@ -25,6 +25,10 @@ class DomainError(KLRError):
     """Input object is outside the operation's domain."""
 
 
+class InputError(KLRError):
+    """Input could not be read or parsed."""
+
+
 class InternalInvariantError(KLRError):
     """A postcondition that holds by theorem failed; indicates a bug."""
 

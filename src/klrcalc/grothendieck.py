@@ -2,21 +2,39 @@
 
 The signed generating polynomial of set-valued fillings serves as an
 independent oracle for every counting rule: expand a product back into
-the basis and read coefficients off.  The expansion peels monomials
-degree by degree; within one degree the monomial of a partition occurs
-in the basis element of another partition only when the latter
-dominates the former, so scanning partitions largest-first makes the
-change of basis triangular.
+the basis and read coefficients off.
+
+The signed polynomial of a skew shape outer/inner is built from
+patterns, not by listing fillings.  The cells whose smallest entry is
+at most i form a partition kappa(i), so a filling gives a chain
+inner = kappa(0) <= kappa(1) <= ... <= kappa(n) = outer in which each
+step adds a horizontal strip.  Besides its strip, step i may put an
+extra entry i, with sign -1, into each cell (j, kappa(i-1)_j) of the
+skew shape that the strip leaves without a cell of kappa(i) below it.
+Summing those choices independently gives
+
+    G_{outer/inner}(x_1..x_n) = sum over chains of
+        prod_i x_i^{|kappa(i)/kappa(i-1)|} (1 - x_i)^{m_i},
+
+    m_i = #{ j : kappa(i-1)_j > inner_j and kappa(i)_{j+1} < kappa(i-1)_j }.
+
+The expansion peels monomials degree by degree; within one degree the
+monomial of a partition occurs in the basis element of another
+partition only when the latter dominates the former, so scanning
+partitions largest-first makes the change of basis triangular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import comb
+from operator import add
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
 from .shapes import Partition, as_partition, partitions, skew
-from .tableaux import enumerate_svt, total_entries, weight
+from .tableaux import enumerate_svt, weight
 
 
 class SparseIntPolynomial:
@@ -49,6 +67,19 @@ class SparseIntPolynomial:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict, cap=None):
+        """Wrap `terms` without copying or checking it.
+
+        For dicts that are already clean: exponent tuples of length n,
+        non-zero int coefficients, no term of degree above `cap`.
+        """
+        p = object.__new__(cls)
+        p.n = n
+        p.terms = terms
+        p.cap = cap
+        return p
+
+    @classmethod
     def constant(cls, n: int, value=1, cap=None):
         return cls(n, {(0,) * n: value}, cap)
 
@@ -62,11 +93,14 @@ class SparseIntPolynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def homogeneous(self, degree: int) -> "SparseIntPolynomial":
-        return SparseIntPolynomial(
+        return SparseIntPolynomial._trusted(
             self.n, {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def truncate(self, cap) -> "SparseIntPolynomial":
-        return SparseIntPolynomial(self.n, self.terms, cap)
+        return SparseIntPolynomial._trusted(
+            self.n,
+            {e: c for e, c in self.terms.items() if cap is None or sum(e) <= cap},
+            cap)
 
     def scale(self, factor: int) -> "SparseIntPolynomial":
         return SparseIntPolynomial(
@@ -77,14 +111,17 @@ class SparseIntPolynomial:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} variables vs {other.n}")
+        cap = self.cap
         out = dict(self.terms)
         for e, c in other.terms.items():
+            if cap is not None and sum(e) > cap:
+                continue
             merged = out.get(e, 0) + c
             if merged:
                 out[e] = merged
             else:
                 out.pop(e, None)
-        return SparseIntPolynomial(self.n, out, self.cap)
+        return SparseIntPolynomial._trusted(self.n, out, cap)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -115,13 +152,13 @@ def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> Sparse
         for db, eb, cb in bterms:
             if cap is not None and da + db > cap:
                 continue
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             merged = out.get(e, 0) + ca * cb
             if merged:
                 out[e] = merged
             else:
                 out.pop(e, None)
-    return SparseIntPolynomial(a.n, out, cap)
+    return SparseIntPolynomial._trusted(a.n, out, cap)
 
 
 def is_symmetric(p: SparseIntPolynomial) -> bool:
@@ -137,20 +174,68 @@ def is_symmetric(p: SparseIntPolynomial) -> bool:
     return True
 
 
+def _strips(kappa: tuple, outer: tuple):
+    """Every kappa' with kappa'/kappa a horizontal strip inside outer."""
+    bounds = list(outer[:1]) + [min(o, k) for o, k in zip(outer[1:], kappa)]
+    return product(*(range(k, b + 1) for k, b in zip(kappa, bounds)))
+
+
+# cap stays in the key: caching the exhaustive polynomial once and
+# truncating it per cap costs more memory than rebuilding per cap
 @lru_cache(maxsize=None)
 def _g_poly(outer: tuple, inner: tuple, n: int, cap: int) -> SparseIntPolynomial:
-    shape = skew(outer, inner)
-    cells = shape.num_cells()
-    terms = {}
-    for f in enumerate_svt(shape, n, max_entries=cap):
-        sign = -1 if (total_entries(f) - cells) % 2 else 1
-        w = weight(f, n)
-        merged = terms.get(w, 0) + sign
-        if merged:
-            terms[w] = merged
-        else:
-            terms.pop(w, None)
-    return SparseIntPolynomial(n, terms, cap)
+    """Signed polynomial of outer/inner by the chain formula, terms to degree cap.
+
+    Step i of a chain inner = kappa(0) <= ... <= kappa(n) = outer adds a
+    horizontal strip and contributes x_i^{|kappa(i)/kappa(i-1)|}
+    (1 - x_i)^{m_i}, where m_i counts the rows j with
+    kappa(i-1)_j > inner_j and kappa(i)_{j+1} < kappa(i-1)_j.  The sum
+    is a memoized recursion on (i, kappa(i)): `tail` returns the terms
+    in x_{i+1}..x_n of every chain from kappa(i) to outer as
+    (exponents, degree, coefficient) triples.  The chain so far has
+    degree at least |kappa(i)/inner|, so the tail keeps only terms of
+    degree at most cap - |kappa(i)/inner|.
+    """
+    rows = len(outer)
+    inner = inner + (0,) * (rows - len(inner))
+    base = sum(inner)
+    memo = {}
+
+    def tail(i: int, kappa: tuple) -> list:
+        if i == n:
+            return [((), 0, 1)] if kappa == outer else []
+        key = (i, kappa)
+        if key in memo:
+            return memo[key]
+        size = sum(kappa)
+        budget = cap - (size - base)
+        terms = {}
+        for nxt in _strips(kappa, outer):
+            strip = sum(nxt) - size
+            rest = tail(i + 1, nxt)
+            if not rest:
+                continue
+            below = nxt[1:] + (0,)
+            m = sum(1 for k, lo, b in zip(kappa, inner, below) if k > lo and b < k)
+            room = budget - strip
+            for extra in range(m + 1):
+                sign = (-1) ** extra * comb(m, extra)
+                head = (strip + extra,)
+                for exp, deg, coef in rest:
+                    if deg + extra > room:
+                        continue
+                    e = head + exp
+                    merged = terms.get(e, 0) + sign * coef
+                    if merged:
+                        terms[e] = merged
+                    else:
+                        del terms[e]
+        out = [(e, sum(e), c) for e, c in terms.items()]
+        memo[key] = out
+        return out
+
+    return SparseIntPolynomial._trusted(
+        n, {e: c for e, _, c in tail(0, inner)}, cap)
 
 
 def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
@@ -159,7 +244,8 @@ def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
     A filling with t total entries in a shape of s cells contributes
     (-1)^(t-s) times the monomial of its weight; only fillings with at
     most `cap` entries are summed.  The default cap n*s is exhaustive
-    because no filling can hold more.
+    because no filling can hold more.  The sum is taken by the chain
+    formula of the module docstring, not by listing fillings.
     """
     outer = as_partition(outer)
     inner = as_partition(inner)
@@ -207,8 +293,8 @@ class BasisExpansion:
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0].size(), kv[0].parts))
 
 
-def _lowest_monomial(p: SparseIntPolynomial):
-    return min(p.terms, key=lambda e: (sum(e), e))
+def _lowest_monomial(exps):
+    return min(exps, key=lambda e: (sum(e), e))
 
 
 def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
@@ -217,23 +303,31 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     `p` must be symmetric up to the cap.  Inside each degree, partitions
     are visited in descending lexicographic order (a linear extension of
     dominance), the residual coefficient at the partition's monomial is
-    recorded, and that multiple of the basis element is subtracted.  Any
-    degree that does not clear completely raises ResidualNonzero.
+    recorded, and that multiple of the basis element is subtracted from
+    the residual in place.  Any degree that does not clear completely
+    raises ResidualNonzero.
     """
     if cap is None:
         cap = p.cap if p.cap is not None else p.max_degree()
-    residual = p.truncate(cap)
-    if not is_symmetric(residual):
+    truncated = p.truncate(cap)
+    if not is_symmetric(truncated):
         raise NotSymmetric(f"{p!r} is not symmetric up to degree {cap}")
+    residual = truncated.terms  # a fresh dict, owned here
     coeffs = {}
     for d in range(cap + 1):
         for nu in partitions(d, max_length=p.n):
-            c = residual.coefficient(nu.pad(p.n))
-            if c:
-                coeffs[nu] = c
-                residual = residual - grothendieck_poly(nu, (), p.n, cap).scale(c)
-        left = residual.homogeneous(d)
-        if not left.is_zero():
+            c = residual.get(nu.pad(p.n), 0)
+            if not c:
+                continue
+            coeffs[nu] = c
+            for e, g in grothendieck_poly(nu, (), p.n, cap).terms.items():
+                rest = residual.get(e, 0) - c * g
+                if rest:
+                    residual[e] = rest
+                else:
+                    del residual[e]
+        left = [e for e in residual if sum(e) == d]
+        if left:
             raise ResidualNonzero(
                 f"degree {d} did not clear; lowest monomial {_lowest_monomial(left)}")
     return BasisExpansion("G", coeffs)
@@ -255,5 +349,5 @@ def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
             residual = residual - schur_poly(nu, (), p.n).scale(c)
     if not residual.is_zero():
         raise ResidualNonzero(
-            f"not homogeneous of degree {d}; lowest leftover {_lowest_monomial(residual)}")
+            f"not homogeneous of degree {d}; lowest leftover {_lowest_monomial(residual.terms)}")
     return BasisExpansion("s", coeffs)

@@ -178,16 +178,44 @@ def test_verify_seed_and_jobs_do_not_change_results(capsys):
 
 
 def test_verify_detects_corrupted_rule(capsys, monkeypatch):
-    # harness self-test: break one rule and expect a minimal counterexample
-    real = lr.coeff_buch
+    # harness self-test: break one rule and expect a minimal counterexample;
+    # the sweep counts buch witnesses from the listed tableaux, so one
+    # extra listed witness is one extra in the buch count
+    real = lr.buch_tableaux
 
     def flipped(query):
-        value = real(query)
-        return value + 1 if query.nu.size() else value
+        yield from real(query)
+        if query.nu.size():
+            yield None
 
-    monkeypatch.setattr(lr, "coeff_buch", flipped)
+    monkeypatch.setattr(lr, "buch_tableaux", flipped)
     code, out, _ = run(capsys, "verify", "--max-size", "1", "--n", "1",
                        "--jobs", "1")
     assert code == 2
     assert "SUMMARY: fail" in out
     assert "minimal counterexample ((), (), 1)" in out
+
+
+def test_word_malformed_json_exit_code(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, "word", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not valid JSON" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_word_missing_file_exit_code(capsys, tmp_path):
+    code, out, err = run(capsys, "word", "--input", str(tmp_path / "absent.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_bad_max_cap_env_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("KLR_MAX_CAP", "abc")
+    code, out, err = run(capsys, "coeff", "--lambda", "1", "--mu", "1",
+                         "--nu", "2", "--rule", "all")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "KLR_MAX_CAP" in err
+    assert len(err.strip().splitlines()) == 1

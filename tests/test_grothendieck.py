@@ -2,12 +2,28 @@ import pytest
 
 from klrcalc import (ContainmentError, DimensionMismatch, NotSymmetric,
                      Partition, ResidualNonzero, SparseIntPolynomial, contains,
-                     expand_in_g_basis, expand_in_schur_basis,
+                     enumerate_svt, expand_in_g_basis, expand_in_schur_basis,
                      grothendieck_poly, is_symmetric, multiply,
-                     partitions_up_to, schur_poly, skew)
+                     partitions_up_to, schur_poly, skew, total_entries, weight)
 
 X1 = SparseIntPolynomial(2, {(1, 0): 1})
 X2 = SparseIntPolynomial(2, {(0, 1): 1})
+
+
+def g_poly_by_enumeration(outer, inner, n, cap):
+    """Reference: sum (-1)^(entries - cells) x^weight over every filling."""
+    shape = skew(outer, inner)
+    cells = shape.num_cells()
+    terms = {}
+    for f in enumerate_svt(shape, n, max_entries=cap):
+        sign = -1 if (total_entries(f) - cells) % 2 else 1
+        w = weight(f, n)
+        merged = terms.get(w, 0) + sign
+        if merged:
+            terms[w] = merged
+        else:
+            terms.pop(w, None)
+    return SparseIntPolynomial(n, terms, cap)
 
 
 def test_polynomial_basics():
@@ -128,7 +144,6 @@ def test_signed_sum_of_skew_shape():
     assert g.homogeneous(6) == s
     # weight (3,2,2,3) appears with entries summing to 10 > cap  only via
     # lower-entry fillings; compare one coefficient against enumeration
-    from klrcalc import enumerate_svt, total_entries, weight
     expected = 0
     for f in enumerate_svt(skew((4, 3, 2), (2, 1)), 4, max_entries=7):
         if weight(f, 4) == (2, 2, 2, 1):
@@ -143,3 +158,27 @@ def test_large_product_expansion_matches_final_example():
     expansion = expand_in_g_basis(product, cap)
     # degree gap 13 - 10 = 3 is odd, so the stored coefficient is -C
     assert expansion.coefficient((4, 4, 3, 2)) == -2
+
+
+def test_chain_recursion_matches_enumeration():
+    checked = 0
+    for outer in partitions_up_to(6, max_length=4):
+        for inner in partitions_up_to(3):
+            if not contains(inner, outer):
+                continue
+            cells = outer.size() - inner.size()
+            for n in range(1, 5):
+                for cap in sorted({cells, cells + 2, n * cells}):
+                    expected = g_poly_by_enumeration(outer, inner, n, cap)
+                    got = grothendieck_poly(outer, inner, n, cap)
+                    assert got == expected, (outer, inner, n, cap)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_exhaustive_large_shape():
+    g = grothendieck_poly((5, 3, 2), (), 5)
+    assert g.cap == 50
+    assert is_symmetric(g)
+    assert g.homogeneous(10) == schur_poly((5, 3, 2), (), 5)
+    assert min(sum(e) for e in g.terms) == 10
