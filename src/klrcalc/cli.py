@@ -18,8 +18,8 @@ from .errors import (DomainError, InputError, KLRError, NotRotatedShape,
                      NotStraightShape)
 from .gtpatterns import omega, omega_inverse, upsilon, upsilon_inverse
 from .shapes import Partition, rotate, skew
-from .tableaux import (column_word, enumerate_svt, is_dominant,
-                       is_lambda_dominant, row_word, superstandard)
+from .tableaux import (column_word, enumerate_svt, is_dominant, row_word,
+                       superstandard)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,9 +119,7 @@ def _cmd_coeff(args) -> int:
 def _cmd_enumerate(args) -> int:
     count = 0
     for filling in enumerate_svt(args.shape, args.n, weight_filter=args.weight,
-                                 singleton=args.singleton):
-        if args.dominant is not None and not is_lambda_dominant(filling, args.dominant):
-            continue
+                                 singleton=args.singleton, dominant_for=args.dominant):
         print(json.dumps(jsonio.filling_obj(filling)))
         count += 1
     print(json.dumps({"count": count}))
@@ -130,15 +128,20 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_bijection(args) -> int:
     obj = _read_input(args.input)
+    if args.direction in ("gamma", "gamma-inv"):
+        for name in ("lam", "mu", "nu"):
+            if getattr(args, name) is None:
+                print(f"--{'lambda' if name == 'lam' else name} is required "
+                      f"for {args.direction}", file=sys.stderr)
+                return EXIT_USAGE
+    # a parse problem is exit 1 via main, not a domain error
+    if args.direction in ("upsilon", "omega"):
+        marked = jsonio.marked_from_obj(obj)
+    else:
+        filling = jsonio.filling_from_obj(obj)
     try:
         if args.direction in ("gamma", "gamma-inv"):
-            for name in ("lam", "mu", "nu"):
-                if getattr(args, name) is None:
-                    print(f"--{'lambda' if name == 'lam' else name} is required "
-                          f"for {args.direction}", file=sys.stderr)
-                    return EXIT_USAGE
             query = lr.CoefficientQuery(args.lam, args.mu, args.nu, args.n)
-            filling = jsonio.filling_from_obj(obj)
             if args.direction == "gamma":
                 trace = lr.gamma(filling, query)
             else:
@@ -146,19 +149,15 @@ def _cmd_bijection(args) -> int:
             print(json.dumps(jsonio.trace_obj(trace), indent=2))
             return EXIT_OK
         if args.direction == "upsilon":
-            marked = jsonio.marked_from_obj(obj)
             out = {"input": jsonio.marked_obj(marked),
                    "output": jsonio.filling_obj(upsilon(marked))}
         elif args.direction == "omega":
-            marked = jsonio.marked_from_obj(obj)
             out = {"input": jsonio.marked_obj(marked),
                    "output": jsonio.filling_obj(omega(marked))}
         elif args.direction == "upsilon-inv":
-            filling = jsonio.filling_from_obj(obj)
             out = {"input": jsonio.filling_obj(filling),
                    "output": jsonio.marked_obj(upsilon_inverse(filling, args.n))}
         else:  # omega-inv
-            filling = jsonio.filling_from_obj(obj)
             out = {"input": jsonio.filling_obj(filling),
                    "output": jsonio.marked_obj(omega_inverse(filling, args.n))}
         print(json.dumps(out, indent=2))

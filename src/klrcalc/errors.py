@@ -25,8 +25,12 @@ class DomainError(KLRError):
     """Input object is outside the operation's domain."""
 
 
-class InputError(KLRError):
-    """Input could not be read or parsed."""
+class InputError(KLRError, ValueError):
+    """Input could not be read or parsed.
+
+    Also a ValueError, so callers that reject bad values by catching
+    ValueError keep working on decoded input.
+    """
 
 
 class InternalInvariantError(KLRError):

@@ -293,6 +293,12 @@ class BasisExpansion:
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0].size(), kv[0].parts))
 
 
+@lru_cache(maxsize=128)
+def _partitions(d: int, n: int) -> tuple:
+    """partitions(d, max_length=n) in the same descending order, built once."""
+    return tuple(partitions(d, max_length=n))
+
+
 def _lowest_monomial(exps):
     return min(exps, key=lambda e: (sum(e), e))
 
@@ -315,7 +321,7 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     residual = truncated.terms  # a fresh dict, owned here
     coeffs = {}
     for d in range(cap + 1):
-        for nu in partitions(d, max_length=p.n):
+        for nu in _partitions(d, p.n):
             c = residual.get(nu.pad(p.n), 0)
             if not c:
                 continue
@@ -342,7 +348,7 @@ def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
     d = min(sum(e) for e in p.terms)
     residual = p
     coeffs = {}
-    for nu in partitions(d, max_length=p.n):
+    for nu in _partitions(d, p.n):
         c = residual.coefficient(nu.pad(p.n))
         if c:
             coeffs[nu] = c

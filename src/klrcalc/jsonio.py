@@ -8,6 +8,9 @@ precision integers.
 
 from __future__ import annotations
 
+import json
+
+from .errors import InputError
 from .grothendieck import BasisExpansion, SparseIntPolynomial
 from .gtpatterns import GTPattern, MarkedGTPattern
 from .lr import GammaTrace
@@ -26,15 +29,46 @@ def filling_obj(filling: SetValuedFilling) -> dict:
     return obj
 
 
+def _ints(value, what: str) -> list:
+    """`value` if it is a JSON list of integers, else InputError."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value):
+        raise InputError(f"{what} must be a list of integers, got {json.dumps(value)}")
+    return value
+
+
+def _rows(obj, what: str) -> list:
+    """The "rows" list of a decoded object, each row a list."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    rows = obj.get("rows")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError(f'{what} needs "rows", a list of lists')
+    return rows
+
+
 def filling_from_obj(obj: dict) -> SetValuedFilling:
-    if "rotated_of" in obj:
-        shape = rotate(obj["rotated_of"])
-        if list(shape.outer) != list(obj.get("outer", shape.outer)) or \
-                list(shape.inner) != list(obj.get("inner", shape.inner)):
-            raise ValueError("rotated_of tag contradicts outer/inner")
-    else:
-        shape = skew(obj["outer"], obj.get("inner", ()))
-    return SetValuedFilling.from_rows(shape, obj["rows"])
+    """Decode `filling_obj` output; InputError when it is not a filling."""
+    rows = _rows(obj, "a filling")
+    for r, row in enumerate(rows, start=1):
+        for cell in row:
+            _ints(cell, f"a cell of row {r}")
+    if "rotated_of" not in obj and "outer" not in obj:
+        raise InputError('a filling needs "outer" or "rotated_of"')
+    outer = _ints(obj["outer"], '"outer"') if "outer" in obj else None
+    inner = _ints(obj.get("inner", []), '"inner"')
+    rotated_of = _ints(obj["rotated_of"], '"rotated_of"') if "rotated_of" in obj else None
+    try:
+        if rotated_of is not None:
+            shape = rotate(rotated_of)
+            if (outer is not None and list(shape.outer) != outer) or \
+                    ("inner" in obj and list(shape.inner) != inner):
+                raise ValueError("rotated_of tag contradicts outer/inner")
+        else:
+            shape = skew(outer, inner)
+        return SetValuedFilling.from_rows(shape, rows)
+    except ValueError as exc:
+        raise InputError(f"not a filling: {exc}") from None
 
 
 def pattern_obj(pattern: GTPattern) -> dict:
@@ -52,8 +86,19 @@ def marked_obj(marked: MarkedGTPattern) -> dict:
 
 
 def marked_from_obj(obj: dict) -> MarkedGTPattern:
-    return MarkedGTPattern(GTPattern(obj["rows"]),
-                           [tuple(m) for m in obj.get("marks", [])])
+    """Decode `marked_obj` output; InputError when it is not a marked pattern."""
+    rows = [_ints(row, f"pattern row {i}")
+            for i, row in enumerate(_rows(obj, "a marked pattern"), start=1)]
+    marks = obj.get("marks", [])
+    if not isinstance(marks, list):
+        raise InputError('"marks" must be a list of [i, j] pairs')
+    for m in marks:
+        if len(_ints(m, "a mark")) != 2:
+            raise InputError(f"a mark must be an [i, j] pair, got {json.dumps(m)}")
+    try:
+        return MarkedGTPattern(GTPattern(rows), [tuple(m) for m in marks])
+    except ValueError as exc:
+        raise InputError(f"not a marked pattern: {exc}") from None
 
 
 def poly_obj(p: SparseIntPolynomial) -> list:

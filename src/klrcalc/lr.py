@@ -61,10 +61,8 @@ def buch_tableaux(query: CoefficientQuery):
     target = _weight_target(query.nu, query.lam)
     if target is None:
         return
-    shape = skew(query.mu, ())
-    for f in enumerate_svt(shape, max(1, len(target)), weight_filter=target):
-        if is_lambda_dominant(f, query.lam):
-            yield f
+    yield from enumerate_svt(skew(query.mu, ()), max(1, len(target)),
+                             weight_filter=target, dominant_for=query.lam)
 
 
 def coeff_buch(query: CoefficientQuery) -> int:
@@ -77,11 +75,9 @@ def contra_tableaux(query: CoefficientQuery, singleton=False):
     target = _weight_target(query.nu, query.mu)
     if target is None:
         return
-    shape = rotate(query.lam)
-    for f in enumerate_svt(shape, max(1, len(target)), weight_filter=target,
-                           singleton=singleton):
-        if is_lambda_dominant(f, query.mu):
-            yield f
+    yield from enumerate_svt(rotate(query.lam), max(1, len(target)),
+                             weight_filter=target, singleton=singleton,
+                             dominant_for=query.mu)
 
 
 def coeff_contra(query: CoefficientQuery) -> int:

@@ -159,16 +159,28 @@ def _bits_to_values(mask: int) -> tuple:
 
 
 def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
-                  max_entries=None):
+                  max_entries=None, dominant_for=None):
     """Yield every semistandard set-valued filling of `shape` with entries in [n].
 
     The order is deterministic: cells are filled row-major and candidate
     entry sets are tried in increasing bitmask order (value v is bit v-1).
     `weight_filter` restricts the stream to fillings with exactly that
-    weight, `singleton` to one entry per cell, and `max_entries` bounds
-    the total number of entries.  Infeasible partial fillings are pruned
-    by per-value budgets and by how much weight the remaining cells can
-    still absorb.
+    weight, `singleton` to one entry per cell, `max_entries` bounds the
+    total number of entries, and `dominant_for=lam` keeps only the
+    fillings that `is_lambda_dominant(f, lam)` accepts.  Infeasible
+    partial fillings are pruned by per-value budgets and by how much
+    weight the remaining cells can still absorb.
+
+    Dominance is pruned while cells are filled.  A semistandard row reads
+    weakly decreasing in the row word, so when the word reaches a v of
+    row r the only (v-1)s before it are the lam_{v-1} of the seed and
+    those in the rows above r.  A cell of row r may therefore take an
+    entry v >= 2 only while lam_v + #v placed so far < lam_{v-1} + #(v-1)
+    in rows above r.  The cut is exact: counts only grow and the right
+    side changes only at a row end, so a violated cut cannot be repaired,
+    and a full filling that passed every cut has a dominant word, since
+    inside row r the excess of v over v-1 peaks after its last v.  The
+    stream is the post-filtered stream, in the same order.
     """
     n = int(n)
     cells = shape.cells()
@@ -192,13 +204,17 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     index = {cell: i for i, cell in enumerate(cells)}
     left = [index.get((r, c - 1)) for (r, c) in cells]
     up = [index.get((r - 1, c)) for (r, c) in cells]
+    lam = None if dominant_for is None else as_partition(dominant_for)
+    row_start = [i == 0 or cells[i][0] != cells[i - 1][0] for i in range(ncells)]
 
     full = (1 << n) - 1
     per_cell = 1 if singleton else n
     masks = [0] * ncells
     counts = [0] * (n + 1)
 
-    def fill(pos, total):
+    def fill(pos, total, room):
+        # room[v], set at each row start, is the most v's the filling may
+        # hold by the end of this row: lam_{v-1} + #(v-1) above, minus lam_v
         if pos == ncells:
             if target is None or total == target_sum:
                 yield SetValuedFilling(
@@ -220,6 +236,13 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             for v in range(lo, min(n, len(target)) + 1):
                 if counts[v] < target[v - 1]:
                     allowed |= 1 << (v - 1)
+        if lam is not None:
+            if row_start[pos]:
+                room = [0, 0] + [lam[v - 2] + counts[v - 1] - lam[v - 1]
+                                 for v in range(2, n + 1)]
+            for v in range(max(lo, 2), n + 1):
+                if counts[v] >= room[v]:
+                    allowed &= ~(1 << (v - 1))
         if not allowed:
             return
         remaining = ncells - pos - 1
@@ -249,11 +272,11 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             while mm:
                 counts[(mm & -mm).bit_length()] += 1
                 mm &= mm - 1
-            yield from fill(pos + 1, new_total)
+            yield from fill(pos + 1, new_total, room)
             mm = m
             while mm:
                 counts[(mm & -mm).bit_length()] -= 1
                 mm &= mm - 1
             masks[pos] = 0
 
-    yield from fill(0, 0)
+    yield from fill(0, 0, None)

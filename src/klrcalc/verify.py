@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import grothendieck, gtpatterns, lr, tableaux
+from .errors import InputError
 from .shapes import Partition, partitions, partitions_up_to, rotate, skew
 
 
@@ -174,8 +175,13 @@ def run_verify(max_size: int, n: int, seed=None, jobs=None) -> list:
     """Run every sweep within the bounds; returns SweepResult objects.
 
     `seed` only shuffles the instance order (the instance set is always
-    exhaustive), `jobs` fans instances out over processes.
+    exhaustive), `jobs` fans instances out over processes.  Bounds that
+    leave a sweep with no instance raise InputError, so a run that
+    checks nothing never reports a pass.
     """
+    if max_size < 0 or n < 1:
+        raise InputError(f"verify needs --max-size >= 0 and --n >= 1, "
+                         f"got --max-size {max_size} --n {n}")
     bijection_instances = [(tuple(lam), m)
                            for m in range(1, n + 1)
                            for lam in partitions_up_to(max_size, max_length=m)]

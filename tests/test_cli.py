@@ -3,7 +3,7 @@ import json
 import pytest
 
 import worked_examples as wx
-from klrcalc import jsonio, lr
+from klrcalc import jsonio, lr, verify
 from klrcalc.cli import main
 
 
@@ -219,3 +219,50 @@ def test_bad_max_cap_env_exit_code(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "KLR_MAX_CAP" in err
     assert len(err.strip().splitlines()) == 1
+
+
+_BAD_FILLINGS = [
+    {"outer": [2], "inner": [], "rows": [[[1], ["x"]]]},
+    {"outer": [2], "inner": [], "rows": [[[1]]]},
+    [[[1]]],
+    {"rows": [[[1]]]},
+]
+_BAD_PATTERNS = [
+    {"rows": [[2], [2, 1, 1]], "marks": []},
+    {"rows": [[2], [2, "a"]], "marks": []},
+    [[2], [2, 1]],
+    {"rows": [[2], [2, 1]], "marks": [[2]]},
+]
+
+
+@pytest.mark.parametrize("argv, obj", [
+    *((["word"], bad) for bad in _BAD_FILLINGS),
+    *((["bijection", "--direction", "upsilon-inv", "--n", "2"], bad)
+      for bad in _BAD_FILLINGS),
+    *((["bijection", "--direction", "upsilon"], bad) for bad in _BAD_PATTERNS),
+])
+def test_malformed_filling_or_pattern_exit_code(capsys, tmp_path, argv, obj):
+    # well-formed JSON that is not a filling or a marked pattern is a parse
+    # problem: exit 1 and one error line, never a traceback or exit 3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("max_size, n", [(-1, 2), (2, 0), (0, -1)])
+def test_verify_rejects_bounds_that_check_nothing(capsys, max_size, n):
+    code, out, err = run(capsys, "verify", "--max-size", str(max_size),
+                         "--n", str(n), "--jobs", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_sweeps_are_never_empty():
+    for max_size in range(3):
+        for n in range(1, 4):
+            results = verify.run_verify(max_size, n, jobs=1)
+            assert [sweep.checked > 0 for sweep in results] == [True, True]

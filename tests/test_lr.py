@@ -4,8 +4,9 @@ import worked_examples as wx
 from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
                      Partition, SetValuedFilling, buch_tableaux, coeff_buch,
                      coeff_classical, coeff_contra, coeff_oracle,
-                     contra_tableaux, gamma, gamma_inverse, partitions_up_to,
-                     skew, total_entries, upsilon_inverse, weight)
+                     contra_tableaux, enumerate_svt, gamma, gamma_inverse,
+                     is_lambda_dominant, partitions_up_to, rotate, skew,
+                     total_entries, upsilon_inverse, weight)
 
 
 def final_query():
@@ -150,6 +151,28 @@ def test_rule_agreement_with_four_row_targets():
                     assert set(images) == set(contra_tableaux(q))
                     for t, s in zip(witnesses, images):
                         assert gamma_inverse(s, q).tableau == t
+
+
+def test_witness_lists_match_post_filtered_enumeration():
+    # both rules prune dominance inside the filling search; the reference
+    # enumerates every filling of the target weight and filters afterwards
+    def reference(shape, nu, sub, dominant, **kwargs):
+        target = tuple(nu[i] - sub[i] for i in range(max(len(nu), len(sub))))
+        if any(t < 0 for t in target):
+            return []
+        return [f for f in enumerate_svt(shape, max(1, len(target)),
+                                         weight_filter=target, **kwargs)
+                if is_lambda_dominant(f, dominant)]
+
+    witnesses = 0
+    for q in _queries(3, 3, 3):
+        buch = list(buch_tableaux(q))
+        assert buch == reference(skew(q.mu), q.nu, q.lam, q.lam)
+        assert list(contra_tableaux(q)) == reference(rotate(q.lam), q.nu, q.mu, q.mu)
+        assert list(contra_tableaux(q, singleton=True)) == \
+            reference(rotate(q.lam), q.nu, q.mu, q.mu, singleton=True)
+        witnesses += len(buch)
+    assert witnesses > 150
 
 
 def test_vanishing_against_enumeration():

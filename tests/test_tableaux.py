@@ -119,6 +119,43 @@ def test_max_entries_matches_post_filtering():
         assert capped == [f for f in everything if total_entries(f) <= cap]
 
 
+def _pruning_shapes():
+    # straight, skew and rotated shapes with one to five cells
+    for outer in partitions_up_to(5, max_length=3):
+        if not outer:
+            continue
+        yield skew(outer)
+        yield rotate(outer)
+        for inner in partitions_up_to(2):
+            if inner and contains(inner, outer) and outer.size() > inner.size():
+                yield skew(outer, inner)
+
+
+def test_dominant_for_matches_post_filtering():
+    # the pruned stream is the post-filtered one, in the same order, for
+    # every lam of size <= 3 (some longer than n), with and without a
+    # weight filter and with singleton fillings
+    lams = list(partitions_up_to(3))
+    compared = kept = 0
+    for shape in _pruning_shapes():
+        cells = shape.num_cells()
+        for n in range(1, 4):
+            weights = sorted({weight(f, n) for f in
+                              enumerate_svt(shape, n, max_entries=cells + 1)})
+            runs = [{}, {"singleton": True}]
+            runs += [{"weight_filter": w} for w in weights]
+            runs += [{"weight_filter": w, "singleton": True} for w in weights[:2]]
+            for kwargs in runs:
+                everything = list(enumerate_svt(shape, n, **kwargs))
+                for lam in lams:
+                    pruned = list(enumerate_svt(shape, n, dominant_for=lam, **kwargs))
+                    expected = [f for f in everything if is_lambda_dominant(f, lam)]
+                    assert pruned == expected, (shape, n, kwargs, lam)
+                    compared += 1
+                    kept += len(expected)
+    assert compared > 10000 and kept > 10000
+
+
 def test_weight_total_equals_entry_count():
     for outer in partitions_up_to(4):
         for f in enumerate_svt(skew(outer), 3):
