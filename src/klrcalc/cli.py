@@ -193,9 +193,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_expand(args) -> int:
     lam, mu, n = args.lam, args.mu, args.n
+    if n < 0:
+        raise InputError(f"--n must be >= 0, got {n}")
     cap = args.cap
     if cap is None:
         cap = lam.size() + mu.size() + 3
+    largest = max(lam.size(), mu.size())
+    if args.basis == "g" and cap < largest:
+        raise InputError(f"--cap {cap} is below the larger factor size {largest}")
     _max_cap_guard(cap)
     if args.basis == "g":
         product = grothendieck.multiply(

@@ -5,6 +5,12 @@ partitions, interlace from top to bottom.  Marking a position with
 strictly positive south-east slack records one extra entry insertion;
 expanding all marks row strip by row strip produces either a straight
 set-valued tableau (`upsilon`) or a rotated one (`omega`).
+
+Both are one strip engine in two orientations.  Straight: pass i writes
+i, and pattern row j is shape row j read from the left.  Rotated: pass i
+writes n+1-i, and pattern row j is bottom-row j read from the right.
+`_expand` runs the passes, `_contract` undoes them for `upsilon_inverse`
+and `omega_inverse`.
 """
 
 from __future__ import annotations
@@ -140,6 +146,42 @@ def marked_patterns(pattern: GTPattern):
             pattern, frozenset(p for b, p in enumerate(positions) if m >> b & 1))
 
 
+def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
+    """The strip engine behind `upsilon` and `omega`.
+
+    Pass i writes its label into the cells x(i-1, j)+1 .. x(i, j) of
+    every pattern row j; a mark (i, j) adds the label to cell x(i-1, j),
+    the last cell row j had before the pass.
+    """
+    pattern = marked.pattern
+    n = pattern.n
+    if not validate(pattern):
+        raise DomainError(f"invalid pattern {pattern!r}")
+    rows = pattern.rows
+    lam = Partition(tuple(w for w in rows[-1] if w > 0) if n else ())
+    if rotated:
+        shape, sign, row0, col0 = rotate(lam), -1, len(lam) + 1, lam[0] + 1
+    else:
+        shape, sign, row0, col0 = skew(lam, ()), 1, 0, 0
+
+    entries = {}
+    for i in range(1, n + 1):
+        label = frozenset((n + 1 - i if rotated else i,))
+        above = rows[i - 2] if i > 1 else ()
+        for j, width in enumerate(rows[i - 1], start=1):
+            have = max(above[j - 1], 0) if j < i else 0
+            for c in range(have + 1, width + 1):
+                entries[(row0 + sign * j, col0 + sign * c)] = label
+    for (i, j) in sorted(marked.marks):  # markable: 1 <= j < i <= n
+        have = max(rows[i - 2][j - 1], 0)
+        if have == 0:
+            raise InvalidMark(f"pass {i}: {'bottom-row' if rotated else 'row'} {j} "
+                              f"has no cell to extend")
+        cell = (row0 + sign * j, col0 + sign * have)
+        entries[cell] = entries[cell] | {n + 1 - i if rotated else i}
+    return SetValuedFilling._trusted(shape, entries)
+
+
 def upsilon(marked: MarkedGTPattern) -> SetValuedFilling:
     """Expand a marked pattern into a set-valued tableau of straight shape.
 
@@ -149,29 +191,70 @@ def upsilon(marked: MarkedGTPattern) -> SetValuedFilling:
     with smaller entries, so this is the unique position where an i can
     be added without breaking semistandardness.
     """
-    pattern = marked.pattern
-    n = pattern.n
-    if not validate(pattern):
-        raise DomainError(f"invalid pattern {pattern!r}")
-    rows = []
+    return _expand(marked, rotated=False)
+
+
+def omega(marked: MarkedGTPattern) -> SetValuedFilling:
+    """Expand a marked pattern into a set-valued filling of a rotated shape.
+
+    Pass i writes n+1-i into every new cell of the i-th strip; rows are
+    indexed from the bottom and grow leftwards.  A mark (i, j) prepends
+    n+1-i to the leftmost cell of bottom-row j as it stood before the
+    pass, the unique position that keeps the filling semistandard.
+    """
+    return _expand(marked, rotated=True)
+
+
+def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
+    """The inverse of `_expand`, from the cell sets of each pattern row
+    in strip order, once every entry is known to be at most n.
+
+    A value v reads as its pass label, v or n+1-v when rotated.  A
+    cell's key, its smallest label, is the pass that created it: row i
+    of the pattern counts the cells of each row with key at most i, and
+    every larger label in a cell is one mark.
+    """
+    keys = []
+    marks = set()
+    for j, row in enumerate(rows, start=1):
+        row_keys = []
+        for vals in row:
+            labels = [n + 1 - v for v in vals] if rotated else vals
+            key = min(labels)
+            row_keys.append(key)
+            marks.update((v, j) for v in labels if v > key)
+        keys.append(row_keys)
+
+    pattern_rows = []
     for i in range(1, n + 1):
-        prev_lens = [len(row) for row in rows]
-        for j, width in enumerate(pattern.rows[i - 1]):
-            have = prev_lens[j] if j < len(prev_lens) else 0
-            if j >= len(rows) and width > 0:
-                rows.append([])
-            for _ in range(have, width):
-                rows[j].append({i})
-        for (mi, mj) in sorted(marked.marks):
-            if mi != i:
-                continue
-            have = prev_lens[mj - 1] if mj - 1 < len(prev_lens) else 0
-            if have == 0:
-                raise InvalidMark(f"pass {i}: row {mj} has no cell to extend")
-            rows[mj - 1][have - 1].add(i)
-    shape = skew(Partition(tuple(len(row) for row in rows)), ())
-    return SetValuedFilling(
-        shape, {(j + 1, c + 1): vals for j, row in enumerate(rows) for c, vals in enumerate(row)})
+        counts = [sum(1 for k in row_keys if k <= i) for row_keys in keys]
+        for j, c in enumerate(counts):
+            if c and j >= i:
+                raise DomainError(f"value at least {n + 1 - i} appears above row {i}"
+                                  if rotated else f"value at most {i} appears below row {i}")
+            if c and any(k > i for k in keys[j][:c]):
+                raise DomainError("cells with large maxima are not right justified"
+                                  if rotated else
+                                  "cells with small minima are not left justified")
+        pattern_rows.append(tuple(counts[:i]) + (0,) * (i - len(counts[:i])))
+
+    pattern = GTPattern(pattern_rows)
+    if not validate(pattern):
+        raise DomainError("filling is not semistandard enough to invert")
+    try:
+        return MarkedGTPattern(pattern, marks)
+    except ValueError as exc:
+        raise DomainError(f"recovered marks are not markable: {exc}") from exc
+
+
+def _fit(filling: SetValuedFilling, height: int, n) -> int:
+    """`n`, by default the larger of the top entry and the row count."""
+    top = max((max(vals) for vals in filling.entries.values()), default=0)
+    if n is None:
+        n = max(top, height)
+    if top > n or height > n:
+        raise DomainError(f"filling does not fit in a pattern of size {n}")
+    return n
 
 
 def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
@@ -184,77 +267,7 @@ def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     if filling.shape.inner:
         raise NotStraightShape(f"inner partition {filling.shape.inner} is not empty")
     rows = filling.rows()
-    top = max((max(vals) for vals in filling.entries.values()), default=0)
-    if n is None:
-        n = max(top, len(rows))
-    if top > n or len(rows) > n:
-        raise DomainError(f"filling does not fit in a pattern of size {n}")
-
-    pattern_rows = []
-    for i in range(1, n + 1):
-        counts = [sum(1 for vals in row if min(vals) <= i) for row in rows]
-        for j, c in enumerate(counts):
-            if c and j >= i:
-                raise DomainError(f"value at most {i} appears below row {i}")
-            if c and any(min(vals) > i for vals in rows[j][:c]):
-                raise DomainError("cells with small minima are not left justified")
-        pattern_rows.append(tuple(counts[:i]) + (0,) * (i - len(counts[:i])))
-
-    marks = set()
-    for j, row in enumerate(rows, start=1):
-        for vals in row:
-            small = min(vals)
-            marks.update((v, j) for v in vals if v > small)
-
-    pattern = GTPattern(pattern_rows)
-    if not validate(pattern):
-        raise DomainError("filling is not semistandard enough to invert")
-    try:
-        return MarkedGTPattern(pattern, marks)
-    except ValueError as exc:
-        raise DomainError(f"recovered marks are not markable: {exc}") from exc
-
-
-def omega(marked: MarkedGTPattern) -> SetValuedFilling:
-    """Expand a marked pattern into a set-valued filling of a rotated shape.
-
-    Pass i writes n+1-i into every new cell of the i-th strip; rows are
-    indexed from the bottom and grow leftwards.  A mark (i, j) prepends
-    n+1-i to the leftmost cell of bottom-row j as it stood before the
-    pass, the unique position that keeps the filling semistandard.
-    """
-    pattern = marked.pattern
-    n = pattern.n
-    if not validate(pattern):
-        raise DomainError(f"invalid pattern {pattern!r}")
-    # rows[j][o]: bottom-row j+1, offset o from the right edge
-    rows = []
-    for i in range(1, n + 1):
-        value = n + 1 - i
-        prev_lens = [len(row) for row in rows]
-        for j, width in enumerate(pattern.rows[i - 1]):
-            have = prev_lens[j] if j < len(prev_lens) else 0
-            if j >= len(rows) and width > 0:
-                rows.append([])
-            for _ in range(have, width):
-                rows[j].append({value})
-        for (mi, mj) in sorted(marked.marks):
-            if mi != i:
-                continue
-            have = prev_lens[mj - 1] if mj - 1 < len(prev_lens) else 0
-            if have == 0:
-                raise InvalidMark(f"pass {i}: bottom-row {mj} has no cell to extend")
-            rows[mj - 1][have - 1].add(value)
-
-    lam = Partition(tuple(len(row) for row in rows))
-    shape = rotate(lam)
-    height = len(lam)
-    width = lam[0]
-    entries = {}
-    for j, row in enumerate(rows, start=1):
-        for o, vals in enumerate(row):
-            entries[(height + 1 - j, width - o)] = vals
-    return SetValuedFilling(shape, entries)
+    return _contract(rows, _fit(filling, len(rows), n), rotated=False)
 
 
 def _rotated_source(shape) -> Partition:
@@ -291,36 +304,7 @@ def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     # bottom-row lists, offset 0 is the rightmost cell
     rows = [[filling.entries[(height + 1 - j, width - o)] for o in range(lam[j - 1])]
             for j in range(1, height + 1)]
-    top = max((max(vals) for vals in filling.entries.values()), default=0)
-    if n is None:
-        n = max(top, height)
-    if top > n or height > n:
-        raise DomainError(f"filling does not fit in a pattern of size {n}")
-
-    pattern_rows = []
-    for i in range(1, n + 1):
-        threshold = n + 1 - i
-        counts = [sum(1 for vals in row if max(vals) >= threshold) for row in rows]
-        for j, c in enumerate(counts):
-            if c and j >= i:
-                raise DomainError(f"value at least {threshold} appears above row {i}")
-            if c and any(max(vals) < threshold for vals in rows[j][:c]):
-                raise DomainError("cells with large maxima are not right justified")
-        pattern_rows.append(tuple(counts[:i]) + (0,) * (i - len(counts[:i])))
-
-    marks = set()
-    for j, row in enumerate(rows, start=1):
-        for vals in row:
-            big = max(vals)
-            marks.update((n + 1 - v, j) for v in vals if v < big)
-
-    pattern = GTPattern(pattern_rows)
-    if not validate(pattern):
-        raise DomainError("filling is not semistandard enough to invert")
-    try:
-        return MarkedGTPattern(pattern, marks)
-    except ValueError as exc:
-        raise DomainError(f"recovered marks are not markable: {exc}") from exc
+    return _contract(rows, _fit(filling, height, n), rotated=True)
 
 
 def weight_reversal_check(marked: MarkedGTPattern) -> bool:

@@ -195,6 +195,20 @@ def _check_membership(filling, shape, target, dominant_for, n, what):
     return None
 
 
+def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight: bool):
+    """Raise `error` unless `filling` is a witness of `q`: on the straight
+    side a lam-dominant filling of shape mu with weight nu - lam, on the
+    rotated side a mu-dominant filling of rotated lam with weight nu - mu."""
+    sub, shape = (q.lam, skew(q.mu, ())) if straight else (q.mu, rotate(q.lam))
+    target = _weight_target(q.nu, sub)
+    if target is None:
+        problem = f"nu - {'lam' if straight else 'mu'} has a negative entry"
+    else:
+        problem = _check_membership(filling, shape, target, sub, q.n, what)
+    if problem:
+        raise error(problem)
+
+
 def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
     """Map a dominant straight-shape witness to its rotated-shape image.
 
@@ -204,12 +218,7 @@ def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
     """
     q = query
     n = q.n
-    target = _weight_target(q.nu, q.lam)
-    problem = None if target is not None else "nu - lam has a negative entry"
-    if problem is None:
-        problem = _check_membership(tableau, skew(q.mu, ()), target, q.lam, n, "input")
-    if problem:
-        raise DomainError(problem)
+    _require_witness(tableau, q, "input", DomainError, straight=True)
 
     marked = upsilon_inverse(tableau, n)
     counts = _prefix_counts(tableau, q.lam, n)
@@ -226,12 +235,7 @@ def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
         raise InternalInvariantError(f"relabelled pattern invalid: {exc}") from exc
 
     image = omega(contra_marked)
-    out_target = _weight_target(q.nu, q.mu)
-    problem = None if out_target is not None else "nu - mu has a negative entry"
-    if problem is None:
-        problem = _check_membership(image, rotate(q.lam), out_target, q.mu, n, "image")
-    if problem:
-        raise InternalInvariantError(problem)
+    _require_witness(image, q, "image", InternalInvariantError, straight=False)
     return GammaTrace(
         direction="gamma", query=q, tableau=tableau,
         tableau_pattern=marked.pattern, tableau_marks=marked.marks,
@@ -254,12 +258,7 @@ def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> G
     """
     q = query
     n = q.n
-    target = _weight_target(q.nu, q.mu)
-    problem = None if target is not None else "nu - mu has a negative entry"
-    if problem is None:
-        problem = _check_membership(contratableau, rotate(q.lam), target, q.mu, n, "input")
-    if problem:
-        raise DomainError(problem)
+    _require_witness(contratableau, q, "input", DomainError, straight=False)
 
     marked = omega_inverse(contratableau, n)
     z = marked.pattern
@@ -298,12 +297,7 @@ def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> G
         raise InternalInvariantError(f"decremented pattern invalid: {exc}") from exc
 
     tableau = upsilon(straight_marked)
-    in_target = _weight_target(q.nu, q.lam)
-    problem = None if in_target is not None else "nu - lam has a negative entry"
-    if problem is None:
-        problem = _check_membership(tableau, skew(q.mu, ()), in_target, q.lam, n, "output")
-    if problem:
-        raise InternalInvariantError(problem)
+    _require_witness(tableau, q, "output", InternalInvariantError, straight=True)
     if gamma(tableau, q).contratableau != contratableau:
         raise InternalInvariantError("round trip through gamma does not return the input")
 

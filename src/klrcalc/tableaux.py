@@ -8,8 +8,9 @@ Weights and words are plain tuples of ints.
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .shapes import Partition, SkewShape, as_partition, skew
+from functools import lru_cache
+
+from .shapes import SkewShape, as_partition, skew
 
 
 class SetValuedFilling:
@@ -32,6 +33,15 @@ class SetValuedFilling:
             raise ValueError("entries do not cover the shape exactly")
         self.shape = shape
         self.entries = clean
+
+    @classmethod
+    def _trusted(cls, shape: SkewShape, entries: dict):
+        """Wrap `entries` unchecked: the caller guarantees that they map
+        exactly the cells of `shape` to non-empty frozensets of positive ints."""
+        self = cls.__new__(cls)
+        self.shape = shape
+        self.entries = entries
+        return self
 
     @classmethod
     def from_rows(cls, shape: SkewShape, rows):
@@ -154,8 +164,10 @@ def is_lambda_dominant(filling: SetValuedFilling, lam) -> bool:
     return is_dominant(seed + row_word(filling))
 
 
-def _bits_to_values(mask: int) -> tuple:
-    return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+@lru_cache(maxsize=4096)
+def _mask_set(mask: int) -> frozenset:
+    """The values whose bits are set in `mask` (value v is bit v-1)."""
+    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
@@ -217,8 +229,8 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
         # hold by the end of this row: lam_{v-1} + #(v-1) above, minus lam_v
         if pos == ncells:
             if target is None or total == target_sum:
-                yield SetValuedFilling(
-                    shape, {cells[i]: _bits_to_values(masks[i]) for i in range(ncells)})
+                yield SetValuedFilling._trusted(
+                    shape, {cells[i]: _mask_set(masks[i]) for i in range(ncells)})
             return
         lo = 1
         li = left[pos]

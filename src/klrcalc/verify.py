@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import grothendieck, gtpatterns, lr, tableaux
 from .errors import InputError
-from .shapes import Partition, partitions, partitions_up_to, rotate, skew
+from .shapes import Partition, partitions_up_to, rotate, skew
 
 
 @dataclass
@@ -38,15 +38,16 @@ def check_bijections(lam, n: int) -> str:
     lam = Partition(lam)
     if len(lam) > n:
         return ""
-    marked = [m for x in gtpatterns.enumerate_gt(lam, n)
-              for m in gtpatterns.marked_patterns(x)]
+    patterns = list(gtpatterns.enumerate_gt(lam, n))
+    marked = [m for x in patterns for m in gtpatterns.marked_patterns(x)]
 
     straight_images = [gtpatterns.upsilon(m) for m in marked]
-    if len(set(straight_images)) != len(straight_images):
+    straight_set = set(straight_images)
+    if len(straight_set) != len(straight_images):
         return f"upsilon not injective on {tuple(lam)}, n={n}"
     universe = set(tableaux.enumerate_svt(skew(lam, ()), n))
-    if set(straight_images) != universe:
-        return (f"upsilon image has {len(set(straight_images))} fillings, "
+    if straight_set != universe:
+        return (f"upsilon image has {len(straight_set)} fillings, "
                 f"universe has {len(universe)} for {tuple(lam)}, n={n}")
     for m, image in zip(marked, straight_images):
         if gtpatterns.upsilon_inverse(image, n) != m:
@@ -55,20 +56,21 @@ def check_bijections(lam, n: int) -> str:
             return f"mark/singleton restriction failed on {m!r}"
 
     rotated_images = [gtpatterns.omega(m) for m in marked]
-    if len(set(rotated_images)) != len(rotated_images):
+    rotated_set = set(rotated_images)
+    if len(rotated_set) != len(rotated_images):
         return f"omega not injective on {tuple(lam)}, n={n}"
     universe = set(tableaux.enumerate_svt(rotate(lam), n))
-    if set(rotated_images) != universe:
-        return (f"omega image has {len(set(rotated_images))} fillings, "
+    if rotated_set != universe:
+        return (f"omega image has {len(rotated_set)} fillings, "
                 f"universe has {len(universe)} for {tuple(lam)}, n={n}")
-    for m, image in zip(marked, rotated_images):
+    for m, straight, image in zip(marked, straight_images, rotated_images):
         if gtpatterns.omega_inverse(image, n) != m:
             return f"omega round trip failed on {m!r}"
-        if not gtpatterns.weight_reversal_check(m):
+        # weight_reversal_check on the images already built
+        if tableaux.weight(image, n) != tableaux.weight(straight, n)[::-1]:
             return f"weight reversal failed on {m!r}"
 
-    total = sum(2 ** len(gtpatterns.markable_positions(x))
-                for x in gtpatterns.enumerate_gt(lam, n))
+    total = sum(2 ** len(gtpatterns.markable_positions(x)) for x in patterns)
     if total != len(universe):
         return f"count identity {total} != {len(universe)} for {tuple(lam)}, n={n}"
     return ""
@@ -86,7 +88,7 @@ def check_rules(lam, mu, n: int, extra_degrees: int = 3) -> str:
     expansion = grothendieck.expand_in_g_basis(product, cap)
 
     for degree in range(cap + 1):
-        for nu in partitions(degree, max_length=n):
+        for nu in grothendieck._partitions(degree, n):
             query = lr.CoefficientQuery(lam, mu, nu, n)
             witnesses = list(lr.buch_tableaux(query))
             contras = list(lr.contra_tableaux(query))
@@ -198,20 +200,11 @@ def run_verify(max_size: int, n: int, seed=None, jobs=None) -> list:
         _run_sweep("rule-agreement", rule_instances, _rules_task, jobs),
     ]
 
-    for sweep in results:
+    # an instance is its partitions followed by n; shrinking keeps n
+    for sweep, check in zip(results, (check_bijections, check_rules)):
         shrunk = []
-        for args, detail in sweep.failures:
-            if sweep.name == "bijections":
-                lam, m = args
-                minimal = shrink_instance(
-                    (lam,), lambda inst: bool(check_bijections(inst[0], m)))
-                shrunk.append(((minimal[0], m),
-                               check_bijections(minimal[0], m) or detail))
-            else:
-                lam, mu, m = args
-                minimal = shrink_instance(
-                    (lam, mu), lambda inst: bool(check_rules(inst[0], inst[1], m)))
-                shrunk.append(((minimal[0], minimal[1], m),
-                               check_rules(minimal[0], minimal[1], m) or detail))
+        for (*parts, m), detail in sweep.failures:
+            minimal = shrink_instance(tuple(parts), lambda inst: bool(check(*inst, m)))
+            shrunk.append((minimal + (m,), check(*minimal, m) or detail))
         sweep.failures = shrunk
     return results

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -156,6 +157,24 @@ def test_expand_respects_cap_guard(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("tail, code", [
+    (["--n", "2", "--cap", "2"], 0),
+    (["--n", "2", "--cap", "1"], 1),
+    (["--n", "2", "--cap", "-1"], 1),
+    (["--n", "-1"], 1),
+])
+def test_expand_cap_below_factor_size_exit_code(capsys, tail, code):
+    # a cap below a factor's size or a negative --n is a usage problem:
+    # exit 1 and one error line; a cap that fits both factors still works
+    got, out, err = run(capsys, "expand", "--lambda", "2", "--mu", "1", *tail)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert out.strip() == "[]" and err == ""
+
+
 def test_verify_small_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-size", "2", "--n", "2",
                        "--jobs", "1")
@@ -266,3 +285,98 @@ def test_verify_sweeps_are_never_empty():
         for n in range(1, 4):
             results = verify.run_verify(max_size, n, jobs=1)
             assert [sweep.checked > 0 for sweep in results] == [True, True]
+
+
+_FUZZ_INTS = ["-2", "-1", "0", "1", "2", "3", "x", ""]
+_FUZZ_PARTS = ["", "1", "2", "1,1", "2,1", "3,1", "2,2", "0", "2,0", "1,2", "-1",
+               "a", "3,,1"]
+_FUZZ_WEIGHTS = ["", "1", "0,1", "1,1,1", "2,1", "-1", "x", "1,0,2"]
+_FUZZ_SHAPES = ["1", "2,1", "2,2/1", "3,1/1", "rotated 2,1", "rotated ", "rotated 1,2",
+                "2/3", "1/1", "", "x", "2,1/-1", "rotated x"]
+_FUZZ_INPUTS = [
+    {"outer": [2, 1], "inner": [], "rows": [[[1], [1, 2]], [[2]]]},
+    {"rotated_of": [2, 1], "rows": [[[2]], [[1], [1, 2]]]},
+    {"outer": [2, 1], "inner": [1], "rows": [[[1]], [[2]]]},
+    {"outer": [2], "inner": [], "rows": [[[2], [1]]]},
+    {"rows": [[2], [2, 1]], "marks": [[2, 1]]},
+    {"rows": [[1], [2, 0]], "marks": []},
+    {"rows": [[3], [2, 1]], "marks": []},
+    {"rows": [[2], [2, 1]], "marks": [[2, 2]]},
+    {"rows": [[0], [0, -1]], "marks": [[2, 1]]},
+    [], None, {"rows": 3}, {"rows": [[[0]]], "outer": [1]}, "{", "",
+]
+
+
+def _draw_argv(rng, tmp_path) -> list:
+    """argv for a random command with small, zero, negative and malformed
+    values; a required flag is sometimes left out, and an input file is
+    sometimes missing or not JSON."""
+    pick = rng.choice
+    command = pick(["coeff", "enumerate", "expand", "word", "bijection", "verify"])
+    argv = [command]
+
+    def add(flag, values, required=False):
+        if rng.random() < (0.95 if required else 0.75):
+            argv.extend([flag, pick(values)])
+
+    def input_file():
+        path = tmp_path / f"in{len(list(tmp_path.iterdir()))}.json"
+        obj = pick(_FUZZ_INPUTS)
+        if rng.random() < 0.9:
+            path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        return ["--input", str(path)]
+
+    if command == "coeff":
+        for flag in ("--lambda", "--mu", "--nu"):
+            add(flag, _FUZZ_PARTS, required=True)
+        add("--n", _FUZZ_INTS)
+        add("--rule", ["buch", "contra", "oracle", "all", "bogus"])
+    elif command == "enumerate":
+        add("--shape", _FUZZ_SHAPES, required=True)
+        add("--n", _FUZZ_INTS, required=True)
+        add("--weight", _FUZZ_WEIGHTS)
+        add("--dominant", _FUZZ_PARTS)
+        if rng.random() < 0.3:
+            argv.append(pick(["--singleton", "--set-valued"]))
+    elif command == "expand":
+        add("--lambda", _FUZZ_PARTS, required=True)
+        add("--mu", _FUZZ_PARTS, required=True)
+        add("--n", _FUZZ_INTS, required=True)
+        add("--cap", _FUZZ_INTS + ["5", "7"])
+        add("--basis", ["g", "s", "z"])
+    elif command == "word":
+        argv += input_file()
+        add("--kind", ["row", "column", "diag"])
+        add("--dominant", _FUZZ_PARTS)
+    elif command == "bijection":
+        add("--direction", ["gamma", "gamma-inv", "upsilon", "upsilon-inv",
+                            "omega", "omega-inv", "beta"], required=True)
+        argv += input_file()
+        for flag in ("--lambda", "--mu", "--nu"):
+            add(flag, _FUZZ_PARTS)
+        add("--n", _FUZZ_INTS)
+    else:
+        add("--max-size", ["-1", "0", "1", "2", "x"], required=True)
+        add("--n", ["-1", "0", "1", "2", "x"], required=True)
+        argv += ["--jobs", "1"]
+        add("--seed", _FUZZ_INTS)
+    return argv
+
+
+def test_random_argv_exit_codes_without_traceback(capsys, tmp_path):
+    # seeded, so a failure names an argv that reproduces it
+    rng = random.Random(5)
+    failures = []
+    for _ in range(1500):
+        argv = _draw_argv(rng, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaping exception is a traceback
+            failures.append((argv, f"{type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            failures.append((argv, f"exit {code}: {err[-200:]}"))
+    assert failures == []

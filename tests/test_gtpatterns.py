@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import klrcalc
 import worked_examples as wx
 from klrcalc import (DomainError, GTPattern, MarkedGTPattern, NotRotatedShape,
                      NotStraightShape, Partition, SetValuedFilling,
@@ -7,6 +12,7 @@ from klrcalc import (DomainError, GTPattern, MarkedGTPattern, NotRotatedShape,
                      marked_patterns, omega, omega_inverse, partitions_up_to,
                      rotate, skew, superstandard, total_entries, upsilon,
                      upsilon_inverse, validate, weight, weight_reversal_check)
+from klrcalc import gtpatterns, verify
 
 
 def test_validate_examples():
@@ -155,3 +161,70 @@ def test_counting_identity():
             total = sum(2 ** len(markable_positions(x))
                         for x in enumerate_gt(lam, n))
             assert total == sum(1 for _ in enumerate_svt(skew(lam), n))
+
+
+@pytest.mark.parametrize("name, detail", [
+    ("upsilon_inverse", "upsilon round trip failed on "),
+    ("omega_inverse", "omega round trip failed on "),
+])
+def test_check_bijections_reports_a_broken_inverse(monkeypatch, name, detail):
+    # an inverse that loses the marks of one pattern must fail the sweep,
+    # and verify must report that instance, which cannot shrink further
+    victim = MarkedGTPattern(GTPattern([(2,), (2, 0)]), [(2, 1)])
+    real = getattr(gtpatterns, name)
+
+    def broken(filling, n=None):
+        out = real(filling, n)
+        return MarkedGTPattern(out.pattern) if out == victim else out
+
+    assert verify.check_bijections((2,), 2) == ""
+    monkeypatch.setattr(gtpatterns, name, broken)
+    assert verify.check_bijections((2,), 2) == f"{detail}{victim!r}"
+    bijections, rules = verify.run_verify(2, 2, jobs=1)
+    assert bijections.failures == [(((2,), 2), f"{detail}{victim!r}")]
+    assert rules.ok
+
+
+def _rebuilt(filling):
+    """The same filling through the validating public constructor."""
+    return SetValuedFilling.from_rows(
+        filling.shape, [[set(vals) for vals in row] for row in filling.rows()])
+
+
+def test_trusted_fillings_equal_validated_ones():
+    for lam in partitions_up_to(4, max_length=3):
+        for n in range(max(1, len(lam)), 4):
+            built = [(f, skew(lam)) for x in enumerate_gt(lam, n)
+                     for m in marked_patterns(x) for f in [upsilon(m)]]
+            built += [(f, rotate(lam)) for x in enumerate_gt(lam, n)
+                      for m in marked_patterns(x) for f in [omega(m)]]
+            built += [(f, shape) for shape in (skew(lam), rotate(lam))
+                      for f in enumerate_svt(shape, n)]
+            for filling, shape in built:
+                other = _rebuilt(filling)
+                assert filling == other and hash(filling) == hash(other)
+                assert filling.shape == shape
+                assert type(filling.shape) is type(shape)
+                assert all(type(vals) is frozenset for vals in filling.entries.values())
+
+
+def test_trusted_fillings_allocate_through_the_class():
+    # per-class allocation hooks, such as a construction counter that
+    # patches __new__, must see trusted builds too.  A patched __new__
+    # cannot be cleanly removed again, so the check runs in a subprocess.
+    script = """
+import klrcalc
+from klrcalc import SetValuedFilling, enumerate_svt, omega, skew, upsilon
+allocated = []
+def counted(cls, *args, **kwargs):
+    allocated.append(cls)
+    return object.__new__(cls)
+SetValuedFilling.__new__ = staticmethod(counted)
+m = klrcalc.MarkedGTPattern(klrcalc.GTPattern([(2,), (2, 1)]), [(2, 1)])
+built = [upsilon(m), omega(m)] + list(enumerate_svt(skew((1,)), 2))
+assert allocated == [SetValuedFilling] * len(built) == [SetValuedFilling] * 5
+"""
+    src = os.path.dirname(os.path.dirname(klrcalc.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
