@@ -203,10 +203,7 @@ def _cmd_expand(args) -> int:
         raise InputError(f"--cap {cap} is below the larger factor size {largest}")
     _max_cap_guard(cap)
     if args.basis == "g":
-        product = grothendieck.multiply(
-            grothendieck.grothendieck_poly(lam, (), n, cap),
-            grothendieck.grothendieck_poly(mu, (), n, cap), cap)
-        expansion = grothendieck.expand_in_g_basis(product, cap)
+        expansion = grothendieck.expand_product(lam, mu, n, cap)
     else:
         product = grothendieck.multiply(
             grothendieck.schur_poly(lam, (), n),
@@ -269,7 +266,9 @@ def _build_parser() -> _Parser:
     exp.add_argument("--lambda", dest="lam", type=_partition, required=True)
     exp.add_argument("--mu", type=_partition, required=True)
     exp.add_argument("--n", type=int, required=True)
-    exp.add_argument("--cap", type=int, default=None)
+    exp.add_argument("--cap", type=int, default=None,
+                     help="degree cap of the G expansion (default |lambda|+|mu|+3); "
+                          "the s basis is homogeneous and ignores it")
     exp.add_argument("--basis", choices=("g", "s"), default="g")
     exp.set_defaults(func=_cmd_expand)
 
@@ -283,6 +282,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except KLRError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader left early (`| head`): point stdout at devnull so the
+        # interpreter's final flush stays quiet; a StringIO has no descriptor
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_USAGE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_USAGE
 
 

@@ -34,7 +34,6 @@ from operator import add
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
 from .shapes import Partition, as_partition, partitions, skew
-from .tableaux import enumerate_svt, weight
 
 
 class SparseIntPolynomial:
@@ -102,10 +101,6 @@ class SparseIntPolynomial:
             {e: c for e, c in self.terms.items() if cap is None or sum(e) <= cap},
             cap)
 
-    def scale(self, factor: int) -> "SparseIntPolynomial":
-        return SparseIntPolynomial(
-            self.n, {e: factor * c for e, c in self.terms.items()}, self.cap)
-
     def __add__(self, other):
         if not isinstance(other, SparseIntPolynomial):
             return NotImplemented
@@ -122,9 +117,6 @@ class SparseIntPolynomial:
             else:
                 out.pop(e, None)
         return SparseIntPolynomial._trusted(self.n, out, cap)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         if isinstance(other, SparseIntPolynomial):
@@ -196,6 +188,8 @@ def _g_poly(outer: tuple, inner: tuple, n: int, cap: int) -> SparseIntPolynomial
     degree at least |kappa(i)/inner|, so the tail keeps only terms of
     degree at most cap - |kappa(i)/inner|.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     rows = len(outer)
     inner = inner + (0,) * (rows - len(inner))
     base = sum(inner)
@@ -257,26 +251,19 @@ def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
     return _g_poly(outer.parts, inner.parts, int(n), int(cap))
 
 
-@lru_cache(maxsize=None)
-def _s_poly(outer: tuple, inner: tuple, n: int) -> SparseIntPolynomial:
-    shape = skew(outer, inner)
-    terms = {}
-    for f in enumerate_svt(shape, n, singleton=True):
-        w = weight(f, n)
-        terms[w] = terms.get(w, 0) + 1
-    return SparseIntPolynomial(n, terms)
-
-
 def schur_poly(outer, inner, n: int) -> SparseIntPolynomial:
     """Generating polynomial of the one-entry-per-cell fillings.
 
     Equals the minimal-degree homogeneous component of the signed
-    polynomial of the same shape.
+    polynomial of the same shape, so it is that polynomial truncated at
+    the cell count.  The result carries no cap: a product of two Schur
+    polynomials keeps every degree.
     """
     outer = as_partition(outer)
     inner = as_partition(inner)
-    skew(outer, inner)  # containment check
-    return _s_poly(outer.parts, inner.parts, int(n))
+    cells = skew(outer, inner).num_cells()
+    return SparseIntPolynomial._trusted(
+        int(n), _g_poly(outer.parts, inner.parts, int(n), cells).terms)
 
 
 @dataclass(frozen=True, eq=True)
@@ -303,15 +290,35 @@ def _lowest_monomial(exps):
     return min(exps, key=lambda e: (sum(e), e))
 
 
+def _peel(residual: dict, d: int, n: int, element) -> dict:
+    """Peel the degree-d basis elements off `residual`; their coefficients.
+
+    Partitions nu are visited in descending lexicographic order (a linear
+    extension of dominance); the residual coefficient at nu's monomial
+    is recorded and that multiple of `element(nu)` subtracted in place.
+    `residual` must be a private dict, never the terms of a cached
+    polynomial.
+    """
+    coeffs = {}
+    for nu in _partitions(d, n):
+        c = residual.get(nu.pad(n), 0)
+        if not c:
+            continue
+        coeffs[nu] = c
+        for e, g in element(nu).terms.items():
+            rest = residual.get(e, 0) - c * g
+            if rest:
+                residual[e] = rest
+            else:
+                del residual[e]
+    return coeffs
+
+
 def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     """Coordinates of `p` on the signed set-valued basis, by degree peeling.
 
-    `p` must be symmetric up to the cap.  Inside each degree, partitions
-    are visited in descending lexicographic order (a linear extension of
-    dominance), the residual coefficient at the partition's monomial is
-    recorded, and that multiple of the basis element is subtracted from
-    the residual in place.  Any degree that does not clear completely
-    raises ResidualNonzero.
+    `p` must be symmetric up to the cap.  Each degree is peeled in turn;
+    any degree that does not clear completely raises ResidualNonzero.
     """
     if cap is None:
         cap = p.cap if p.cap is not None else p.max_degree()
@@ -321,17 +328,8 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     residual = truncated.terms  # a fresh dict, owned here
     coeffs = {}
     for d in range(cap + 1):
-        for nu in _partitions(d, p.n):
-            c = residual.get(nu.pad(p.n), 0)
-            if not c:
-                continue
-            coeffs[nu] = c
-            for e, g in grothendieck_poly(nu, (), p.n, cap).terms.items():
-                rest = residual.get(e, 0) - c * g
-                if rest:
-                    residual[e] = rest
-                else:
-                    del residual[e]
+        coeffs.update(_peel(residual, d, p.n,
+                            lambda nu: grothendieck_poly(nu, (), p.n, cap)))
         left = [e for e in residual if sum(e) == d]
         if left:
             raise ResidualNonzero(
@@ -343,17 +341,17 @@ def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
     """Coordinates of a homogeneous symmetric `p` on the singleton basis."""
     if not is_symmetric(p):
         raise NotSymmetric(f"{p!r} is not symmetric")
-    if p.is_zero():
-        return BasisExpansion("s", {})
-    d = min(sum(e) for e in p.terms)
-    residual = p
-    coeffs = {}
-    for nu in _partitions(d, p.n):
-        c = residual.coefficient(nu.pad(p.n))
-        if c:
-            coeffs[nu] = c
-            residual = residual - schur_poly(nu, (), p.n).scale(c)
-    if not residual.is_zero():
+    d = min((sum(e) for e in p.terms), default=0)
+    residual = dict(p.terms)
+    coeffs = _peel(residual, d, p.n, lambda nu: schur_poly(nu, (), p.n))
+    if residual:
         raise ResidualNonzero(
-            f"not homogeneous of degree {d}; lowest leftover {_lowest_monomial(residual.terms)}")
+            f"not homogeneous of degree {d}; lowest leftover {_lowest_monomial(residual)}")
     return BasisExpansion("s", coeffs)
+
+
+def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
+    """G_lam * G_mu, terms to degree `cap`, peeled onto the G basis."""
+    product = multiply(grothendieck_poly(lam, (), n, cap),
+                       grothendieck_poly(mu, (), n, cap), cap)
+    return expand_in_g_basis(product, cap)

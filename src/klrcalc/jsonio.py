@@ -1,9 +1,7 @@
 """JSON encoding and decoding for every value the command line exchanges.
 
 Fillings carry their shape inline; rotated shapes add a "rotated_of"
-tag so the bottom-up row convention survives a round trip.  Polynomial
-coefficients are emitted as strings because they are arbitrary
-precision integers.
+tag so the bottom-up row convention survives a round trip.
 """
 
 from __future__ import annotations
@@ -11,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
-from .grothendieck import BasisExpansion, SparseIntPolynomial
+from .grothendieck import BasisExpansion
 from .gtpatterns import GTPattern, MarkedGTPattern
 from .lr import GammaTrace
 from .shapes import RotatedShape, rotate, skew
@@ -99,16 +97,6 @@ def marked_from_obj(obj: dict) -> MarkedGTPattern:
         return MarkedGTPattern(GTPattern(rows), [tuple(m) for m in marks])
     except ValueError as exc:
         raise InputError(f"not a marked pattern: {exc}") from None
-
-
-def poly_obj(p: SparseIntPolynomial) -> list:
-    return [{"exp": list(e), "coef": str(c)}
-            for e, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
-
-
-def poly_from_obj(items, n: int, cap=None) -> SparseIntPolynomial:
-    return SparseIntPolynomial(
-        n, [(tuple(t["exp"]), int(t["coef"])) for t in items], cap)
 
 
 def expansion_obj(expansion: BasisExpansion) -> list:

@@ -103,11 +103,7 @@ def coeff_oracle(query: CoefficientQuery, cap=None) -> int:
     """
     if cap is None:
         cap = max(query.nu.size(), query.lam.size() + query.mu.size())
-    n = query.n
-    product = grothendieck.multiply(
-        grothendieck.grothendieck_poly(query.lam, (), n, cap),
-        grothendieck.grothendieck_poly(query.mu, (), n, cap), cap)
-    expansion = grothendieck.expand_in_g_basis(product, cap)
+    expansion = grothendieck.expand_product(query.lam, query.mu, query.n, cap)
     raw = expansion.coefficient(query.nu)
     parity = (query.nu.size() - query.lam.size() - query.mu.size()) % 2
     return -raw if parity else raw

@@ -171,17 +171,16 @@ def _mask_set(mask: int) -> frozenset:
 
 
 def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
-                  max_entries=None, dominant_for=None):
+                  dominant_for=None):
     """Yield every semistandard set-valued filling of `shape` with entries in [n].
 
     The order is deterministic: cells are filled row-major and candidate
     entry sets are tried in increasing bitmask order (value v is bit v-1).
     `weight_filter` restricts the stream to fillings with exactly that
-    weight, `singleton` to one entry per cell, `max_entries` bounds the
-    total number of entries, and `dominant_for=lam` keeps only the
-    fillings that `is_lambda_dominant(f, lam)` accepts.  Infeasible
-    partial fillings are pruned by per-value budgets and by how much
-    weight the remaining cells can still absorb.
+    weight, `singleton` to one entry per cell, and `dominant_for=lam`
+    keeps only the fillings that `is_lambda_dominant(f, lam)` accepts.
+    Infeasible partial fillings are pruned by per-value budgets and by
+    how much weight the remaining cells can still absorb.
 
     Dominance is pruned while cells are filled.  A semistandard row reads
     weakly decreasing in the row word, so when the word reaches a v of
@@ -273,8 +272,6 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
         for m in candidates:
             size = bin(m).count("1")
             new_total = total + size
-            if max_entries is not None and new_total + remaining > max_entries:
-                continue
             if target is not None:
                 leftover = target_sum - new_total
                 if leftover < remaining or leftover > remaining * per_cell:

@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import klrcalc
 import worked_examples as wx
 from klrcalc import jsonio, lr, verify
 from klrcalc.cli import main
@@ -175,6 +179,30 @@ def test_expand_cap_below_factor_size_exit_code(capsys, tail, code):
         assert out.strip() == "[]" and err == ""
 
 
+def test_expand_schur_basis_ignores_cap(capsys):
+    # the s basis is homogeneous: --cap, even one below both factors,
+    # leaves its expansion as it is
+    argv = ("expand", "--lambda", "2,1", "--mu", "2,1", "--n", "3", "--basis", "s")
+    code, uncapped, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(uncapped)
+    code, capped, _ = run(capsys, *argv, "--cap", "0")
+    assert code == 0 and capped == uncapped
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader closes the pipe after one line of a 194 KB stream
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "klrcalc", "enumerate", "--shape", "4,3,2", "--n", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrcalc.__file__))})
+    assert json.loads(proc.stdout.readline())["outer"] == [4, 3, 2]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_verify_small_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-size", "2", "--n", "2",
                        "--jobs", "1")
@@ -194,6 +222,10 @@ def test_verify_seed_and_jobs_do_not_change_results(capsys):
                           "--jobs", "1", "--seed", "7")
     assert code == 0
     assert sorted(base.splitlines()) == sorted(seeded.splitlines())
+    code, pooled, _ = run(capsys, "verify", "--max-size", "1", "--n", "2",
+                          "--jobs", "2")
+    assert code == 0
+    assert pooled == base
 
 
 def test_verify_detects_corrupted_rule(capsys, monkeypatch):

@@ -3,9 +3,9 @@ import json
 import pytest
 
 import worked_examples as wx
-from klrcalc import (CoefficientQuery, SetValuedFilling, SparseIntPolynomial,
-                     expand_in_g_basis, gamma, gamma_inverse,
-                     grothendieck_poly, multiply, rotate, skew)
+from klrcalc import (CoefficientQuery, SetValuedFilling, expand_in_g_basis,
+                     gamma, gamma_inverse, grothendieck_poly, multiply,
+                     rotate, skew)
 from klrcalc import jsonio
 
 
@@ -41,14 +41,6 @@ def test_marked_pattern_roundtrip():
     obj = _roundtrip(jsonio.marked_obj(m))
     assert obj["rows"][0] == [2]
     assert jsonio.marked_from_obj(obj) == m
-
-
-def test_poly_roundtrip():
-    p = multiply(grothendieck_poly((1,), (), 2),
-                 grothendieck_poly((1,), (), 2), 4)
-    items = _roundtrip(jsonio.poly_obj(p))
-    assert all(isinstance(t["coef"], str) for t in items)
-    assert jsonio.poly_from_obj(items, 2, 4) == p
 
 
 def test_expansion_obj_signs():

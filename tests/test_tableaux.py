@@ -111,14 +111,6 @@ def test_singleton_flag_matches_entry_count():
     assert all(total_entries(f) == f.num_cells() for f in singles)
 
 
-def test_max_entries_matches_post_filtering():
-    shape = skew((2, 1))
-    everything = list(enumerate_svt(shape, 3))
-    for cap in range(3, 10):
-        capped = list(enumerate_svt(shape, 3, max_entries=cap))
-        assert capped == [f for f in everything if total_entries(f) <= cap]
-
-
 def _pruning_shapes():
     # straight, skew and rotated shapes with one to five cells
     for outer in partitions_up_to(5, max_length=3):
@@ -140,8 +132,8 @@ def test_dominant_for_matches_post_filtering():
     for shape in _pruning_shapes():
         cells = shape.num_cells()
         for n in range(1, 4):
-            weights = sorted({weight(f, n) for f in
-                              enumerate_svt(shape, n, max_entries=cells + 1)})
+            weights = sorted({weight(f, n) for f in enumerate_svt(shape, n)
+                              if total_entries(f) <= cells + 1})
             runs = [{}, {"singleton": True}]
             runs += [{"weight_filter": w} for w in weights]
             runs += [{"weight_filter": w, "singleton": True} for w in weights[:2]]
