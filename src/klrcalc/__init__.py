@@ -15,7 +15,7 @@ from .gtpatterns import (GTPattern, MarkedGTPattern, enumerate_gt,
                          weight_reversal_check)
 from .lr import (CoefficientQuery, GammaTrace, buch_tableaux, coeff_buch,
                  coeff_classical, coeff_contra, coeff_oracle, contra_tableaux,
-                 gamma, gamma_inverse)
+                 gamma, gamma_inverse, witness_lists)
 from .shapes import (Partition, RotatedShape, SkewShape, contains,
                      is_horizontal_strip, partitions, partitions_up_to,
                      rotate, rotated_skew, skew)

@@ -85,6 +85,45 @@ def coeff_contra(query: CoefficientQuery) -> int:
     return sum(1 for _ in contra_tableaux(query))
 
 
+def witness_lists(lam, mu, n: int):
+    """Both witness families of every nu of the lam, mu product, from one
+    search per side.
+
+    Runs the straight-shape search (shape mu, lam-dominant) and the
+    rotated-shape search (rotated lam, mu-dominant) once each with entries
+    in [n], and buckets each stream by weight.  Returns `lookup(nu)`,
+    which gives `(buch, contra)`: the lists `buch_tableaux` and
+    `contra_tableaux` yield for `CoefficientQuery(lam, mu, nu, n)`, in
+    the same order, read from the buckets at nu - lam and nu - mu.  The
+    bucket lists are shared between calls, so callers must not mutate
+    them.
+    """
+    lam = as_partition(lam)
+    mu = as_partition(mu)
+    n = int(n)
+    if max(len(lam), len(mu)) > n:
+        raise DomainError(f"n={n} smaller than a partition length")
+    lam_n, mu_n = lam.pad(n), mu.pad(n)
+
+    def buckets(shape, dominant_for):
+        out = {}
+        for f in enumerate_svt(shape, n, dominant_for=dominant_for):
+            out.setdefault(weight(f, n), []).append(f)
+        return out
+
+    straight = buckets(skew(mu, ()), lam)
+    rotated = buckets(rotate(lam), mu)
+
+    def lookup(nu):
+        nu = as_partition(nu)
+        if len(nu) > n:
+            raise DomainError(f"n={n} smaller than a partition length")
+        nu_n = nu.pad(n)
+        return (straight.get(tuple(a - b for a, b in zip(nu_n, lam_n)), []),
+                rotated.get(tuple(a - b for a, b in zip(nu_n, mu_n)), []))
+    return lookup
+
+
 def coeff_classical(query: CoefficientQuery) -> int:
     """The one-entry-per-cell count, defined only in the degree-matching case."""
     if query.nu.size() != query.lam.size() + query.mu.size():

@@ -158,10 +158,15 @@ def superstandard(lam) -> SetValuedFilling:
     return SetValuedFilling(shape, {(r, c): (r,) for (r, c) in shape.cells()})
 
 
+@lru_cache(maxsize=1024)
+def _seed_word(lam) -> tuple:
+    """Row word of superstandard(lam), built once per partition."""
+    return row_word(superstandard(lam))
+
+
 def is_lambda_dominant(filling: SetValuedFilling, lam) -> bool:
     """The row word, prefixed by the row word of superstandard(lam), is dominant."""
-    seed = row_word(superstandard(lam))
-    return is_dominant(seed + row_word(filling))
+    return is_dominant(_seed_word(as_partition(lam)) + row_word(filling))
 
 
 @lru_cache(maxsize=4096)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import grothendieck, gtpatterns, lr, tableaux
 from .errors import InputError
@@ -78,17 +79,21 @@ def check_bijections(lam, n: int) -> str:
 
 def check_rules(lam, mu, n: int, extra_degrees: int = 3) -> str:
     """All three coefficient routes agree for every nu up to the cap,
-    zeros included, and the witness bijection round trips."""
+    zeros included, and the witness bijection round trips.
+
+    The witnesses come from one search per side for the whole instance
+    (`lr.witness_lists`), not one per nu; a nu with no witness on either
+    side still has its zero counts checked against the oracle."""
     lam = Partition(lam)
     mu = Partition(mu)
     cap = lam.size() + mu.size() + extra_degrees
     expansion = grothendieck.expand_product(lam, mu, n, cap)
+    lookup = lr.witness_lists(lam, mu, n)
 
     for degree in range(cap + 1):
         for nu in grothendieck._partitions(degree, n):
             query = lr.CoefficientQuery(lam, mu, nu, n)
-            witnesses = list(lr.buch_tableaux(query))
-            contras = list(lr.contra_tableaux(query))
+            witnesses, contras = lookup(nu)
             buch = len(witnesses)
             contra = len(contras)
             raw = expansion.coefficient(nu)
@@ -146,14 +151,25 @@ def shrink_instance(instance: tuple, still_fails) -> tuple:
     return current
 
 
-def _run_sweep(name, instances, check, jobs) -> SweepResult:
-    """`check` every instance, shrinking each failure to a minimal one.
+def _run_check(check_name: str, *args) -> str:
+    """Run the check of this module named `check_name`, looked up at call
+    time, so a replaced module attribute is the one that runs."""
+    return globals()[check_name](*args)
+
+
+def _run_sweep(name, instances, check_name, jobs) -> SweepResult:
+    """Run the check named `check_name` on every instance, shrinking each
+    failure to a minimal one.
 
     An instance is its partitions followed by n; shrinking keeps n.
+    Workers get the check's name, not the function, so a replaced check
+    need not be picklable.
     """
+    check = globals()[check_name]
     if jobs is not None and jobs > 1 and len(instances) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            details = list(pool.map(check, *zip(*instances), chunksize=4))
+            details = list(pool.map(partial(_run_check, check_name),
+                                    *zip(*instances), chunksize=4))
     else:
         details = [check(*args) for args in instances]
     result = SweepResult(name, len(details))
@@ -186,7 +202,5 @@ def run_verify(max_size: int, n: int, seed=None, jobs=None) -> list:
         rng.shuffle(bijection_instances)
         rng.shuffle(rule_instances)
 
-    # the checks are looked up here, at call time, so a replaced module
-    # attribute is the one that runs
-    return [_run_sweep("bijections", bijection_instances, check_bijections, jobs),
-            _run_sweep("rule-agreement", rule_instances, check_rules, jobs)]
+    return [_run_sweep("bijections", bijection_instances, "check_bijections", jobs),
+            _run_sweep("rule-agreement", rule_instances, "check_rules", jobs)]

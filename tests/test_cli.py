@@ -232,19 +232,33 @@ def test_verify_detects_corrupted_rule(capsys, monkeypatch):
     # harness self-test: break one rule and expect a minimal counterexample;
     # the sweep counts buch witnesses from the listed tableaux, so one
     # extra listed witness is one extra in the buch count
-    real = lr.buch_tableaux
+    real = lr.witness_lists
 
-    def flipped(query):
-        yield from real(query)
-        if query.nu.size():
-            yield None
+    def flipped(lam, mu, n):
+        lookup = real(lam, mu, n)
 
-    monkeypatch.setattr(lr, "buch_tableaux", flipped)
+        def corrupted(nu):
+            buch, contra = lookup(nu)
+            return (buch + [None] if nu.size() else buch), contra
+        return corrupted
+
+    monkeypatch.setattr(lr, "witness_lists", flipped)
     code, out, _ = run(capsys, "verify", "--max-size", "1", "--n", "1",
                        "--jobs", "1")
     assert code == 2
     assert "SUMMARY: fail" in out
     assert "minimal counterexample ((), (), 1)" in out
+
+
+def test_verify_workers_run_a_replaced_check(monkeypatch):
+    # the pool is sent the check's name, so a check replaced by a lambda
+    # (not picklable) still runs, in the workers as well as in-process
+    real = verify.check_rules
+    monkeypatch.setattr(verify, "check_rules", lambda lam, mu, n: (
+        "boom" if (lam, mu) == ((1,), (1,)) else real(lam, mu, n)))
+    bijections, rules = verify.run_verify(1, 2, jobs=2)
+    assert bijections.ok and rules.checked == 4
+    assert rules.failures == [(((1,), (1,), 2), "boom")]
 
 
 def test_word_malformed_json_exit_code(capsys, tmp_path):

@@ -1,3 +1,6 @@
+from itertools import permutations
+from math import comb
+
 import pytest
 
 from klrcalc import (ContainmentError, DimensionMismatch, NotSymmetric,
@@ -197,3 +200,50 @@ def test_exhaustive_large_shape():
     assert is_symmetric(g)
     assert g.homogeneous(10) == s_poly_by_enumeration((5, 3, 2), (), 5)
     assert min(sum(e) for e in g.terms) == 10
+
+
+def _power_times_one_minus(n, i, a, k):
+    """x_i^a (1 - x_i)^k as a polynomial in n variables."""
+    terms = {}
+    for t in range(k + 1):
+        exp = [0] * n
+        exp[i] = a + t
+        terms[tuple(exp)] = (-1) ** t * comb(k, t)
+    return SparseIntPolynomial(n, terms)
+
+
+def _bialternant(lam, n, k_theoretic):
+    """det[x_i^(lam_j+n-j) (1 - x_i)^(j-1)] as a Leibniz sum; without the
+    (1 - x_i) factors when not k_theoretic."""
+    entry = [[_power_times_one_minus(n, i, lam[j] + n - 1 - j, j if k_theoretic else 0)
+              for j in range(n)] for i in range(n)]
+    total = SparseIntPolynomial(n)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = SparseIntPolynomial.constant(n, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = multiply(term, entry[i][j])
+        total = total + term
+    return total
+
+
+def test_bialternant_formulas():
+    # G_lam * prod_{i<j}(x_i - x_j) = det[x_i^(lam_j+n-j) (1 - x_i)^(j-1)],
+    # and the same without (1 - x_i)^(j-1) for s_lam: a check of the
+    # chain recursion against a formula that shares no code with it
+    checked = 0
+    for n in range(1, 5):
+        vandermonde = SparseIntPolynomial.constant(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = SparseIntPolynomial(
+                    n, {tuple(int(k == i) for k in range(n)): 1,
+                        tuple(int(k == j) for k in range(n)): -1})
+                vandermonde = multiply(vandermonde, diff)
+        for lam in partitions_up_to(5, max_length=n):
+            g = grothendieck_poly(lam, (), n).truncate(None)
+            assert multiply(g, vandermonde) == _bialternant(lam, n, True), (lam, n)
+            s = schur_poly(lam, (), n)
+            assert multiply(s, vandermonde) == _bialternant(lam, n, False), (lam, n)
+            checked += 1
+    assert checked > 40

@@ -6,7 +6,7 @@ from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
                      coeff_classical, coeff_contra, coeff_oracle,
                      contra_tableaux, enumerate_svt, gamma, gamma_inverse,
                      is_lambda_dominant, partitions_up_to, rotate, skew,
-                     total_entries, upsilon_inverse, weight)
+                     total_entries, upsilon_inverse, weight, witness_lists)
 
 
 def final_query():
@@ -173,6 +173,30 @@ def test_witness_lists_match_post_filtered_enumeration():
             reference(rotate(q.lam), q.nu, q.mu, q.mu, singleton=True)
         witnesses += len(buch)
     assert witnesses > 150
+
+
+def test_witness_lists_lookup_matches_per_nu_lists():
+    # one search per side, bucketed by weight, gives every nu the lists the
+    # per-nu searches yield, in their order; the nu run to the verify cap
+    # and include nu - lam or nu - mu with a negative entry
+    negative = witnesses = 0
+    for n in (3, 4):
+        for lam in partitions_up_to(3, max_length=n):
+            for mu in partitions_up_to(3, max_length=n):
+                lookup = witness_lists(lam, mu, n)
+                top = lam.size() + mu.size() + 3
+                for nu in partitions_up_to(top, max_length=n):
+                    q = CoefficientQuery(lam, mu, nu, n)
+                    buch, contra = lookup(nu)
+                    assert buch == list(buch_tableaux(q)), q
+                    assert contra == list(contra_tableaux(q)), q
+                    negative += any(nu[i] < lam[i] for i in range(n))
+                    witnesses += len(buch)
+    assert negative > 800 and witnesses > 350
+    with pytest.raises(DomainError):
+        witness_lists((1,), (1,), 1)((1, 1))
+    with pytest.raises(DomainError):
+        witness_lists((1, 1), (1,), 1)
 
 
 def test_vanishing_against_enumeration():
