@@ -173,8 +173,9 @@ def _strips(kappa: tuple, outer: tuple):
 
 
 # cap stays in the key: caching the exhaustive polynomial once and
-# truncating it per cap costs more memory than rebuilding per cap
-@lru_cache(maxsize=None)
+# truncating it per cap costs more memory than rebuilding per cap; a
+# session asks for a few hundred keys, so the bound caps long-lived ones
+@lru_cache(maxsize=4096)
 def _g_poly(outer: tuple, inner: tuple, n: int, cap: int) -> SparseIntPolynomial:
     """Signed polynomial of outer/inner by the chain formula, terms to degree cap.
 

@@ -9,13 +9,15 @@ set-valued tableau (`upsilon`) or a rotated one (`omega`).
 Both are one strip engine in two orientations.  Straight: pass i writes
 i, and pattern row j is shape row j read from the left.  Rotated: pass i
 writes n+1-i, and pattern row j is bottom-row j read from the right.
-`_expand` runs the passes, `_contract` undoes them for `upsilon_inverse`
-and `omega_inverse`.
+`_expand` runs the passes.  `_contract` undoes them in one pass over the
+cells for `upsilon_inverse` and `omega_inverse`, which accept exactly the
+semistandard fillings with entries at most n.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import DomainError, InvalidMark, NotRotatedShape, NotStraightShape
 from .shapes import Partition, RotatedShape, as_partition, rotate, skew
@@ -33,6 +35,13 @@ class GTPattern:
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
         self.rows = rows
+
+    @classmethod
+    def _trusted(cls, rows: tuple):
+        """Wrap `rows` unchecked: a tuple whose row i is a tuple of i ints."""
+        self = cls.__new__(cls)
+        self.rows = rows
+        return self
 
     @property
     def n(self) -> int:
@@ -61,11 +70,9 @@ class GTPattern:
 def validate(pattern: GTPattern) -> bool:
     """All north-east and south-east differences are non-negative."""
     rows = pattern.rows
-    for i in range(2, len(rows) + 1):
-        for j in range(1, i):
-            if rows[i - 1][j - 1] - rows[i - 2][j - 1] < 0:
-                return False
-            if rows[i - 2][j - 1] - rows[i - 1][j] < 0:
+    for above, row in zip(rows, rows[1:]):
+        for left, x, right in zip(row, above, row[1:]):  # x sits between them
+            if left < x or x < right:
                 return False
     return True
 
@@ -146,6 +153,17 @@ def marked_patterns(pattern: GTPattern):
             pattern, frozenset(p for b, p in enumerate(positions) if m >> b & 1))
 
 
+@lru_cache(maxsize=1024)
+def _frame(parts: tuple, rotated: bool) -> tuple:
+    """The straight or rotated shape over bottom row `parts` (zeros allowed),
+    with (sign, row0, col0): pattern row j, cell c is at (row0 + sign*j,
+    col0 + sign*c).  Shapes are immutable, so every caller shares one."""
+    lam = Partition(tuple(w for w in parts if w > 0))
+    if rotated:
+        return rotate(lam), -1, len(lam) + 1, lam[0] + 1
+    return skew(lam, ()), 1, 0, 0
+
+
 def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
     """The strip engine behind `upsilon` and `omega`.
 
@@ -158,11 +176,7 @@ def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
     if not validate(pattern):
         raise DomainError(f"invalid pattern {pattern!r}")
     rows = pattern.rows
-    lam = Partition(tuple(w for w in rows[-1] if w > 0) if n else ())
-    if rotated:
-        shape, sign, row0, col0 = rotate(lam), -1, len(lam) + 1, lam[0] + 1
-    else:
-        shape, sign, row0, col0 = skew(lam, ()), 1, 0, 0
+    shape, sign, row0, col0 = _frame(rows[-1] if n else (), rotated)
 
     entries = {}
     for i in range(1, n + 1):
@@ -206,50 +220,65 @@ def omega(marked: MarkedGTPattern) -> SetValuedFilling:
 
 
 def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
-    """The inverse of `_expand`, from the cell sets of each pattern row
-    in strip order, once every entry is known to be at most n.
+    """The inverse of `_expand`, in one pass over the cell sets of each
+    pattern row in strip order, once every entry is known to be at most n.
 
-    A value v reads as its pass label, v or n+1-v when rotated.  A
-    cell's key, its smallest label, is the pass that created it: row i
-    of the pattern counts the cells of each row with key at most i, and
-    every larger label in a cell is one mark.
+    A value v reads as its pass label, v or n+1-v when rotated.  A cell's
+    key, its smallest label, is the pass that created it, and every larger
+    label is one mark.  x(i, j) counts the cells of row j with key at most
+    i, from a running histogram of the row's keys.
+
+    Exactly the semistandard fillings invert.  Failures raise DomainError,
+    checked in this order: the keys of row j are at least j and
+    non-decreasing (reported at the first pass i, then row, where a key i
+    lies below row i or after a larger key); the pattern interlaces; the
+    marks are markable; each mark (v, j) sits in cell x(v-1, j), the last
+    with key at most v-1, so no cell's largest label exceeds the next key.
     """
-    keys = []
     marks = set()
+    counts = []
+    first = None  # (pass, row, not justified) of the first unjustified key
+    loose = False
     for j, row in enumerate(rows, start=1):
-        row_keys = []
+        hist = [0] * n
+        low = high = j  # floors for the next key: the last key, the last label
         for vals in row:
             labels = [n + 1 - v for v in vals] if rotated else vals
-            key = min(labels)
-            row_keys.append(key)
-            marks.update((v, j) for v in labels if v > key)
-        keys.append(row_keys)
+            key, top = min(labels), max(labels)
+            marks.update((v, j) for v in labels if v != key)
+            if key < high:
+                if key < low and (first is None or (key, j) < first[:2]):
+                    first = (key, j, key >= j)
+                loose = True
+            low, high = key, top
+            hist[key - 1] += 1
+        counts.append(list(itertools.accumulate(hist)))
+    if first:
+        i, _, not_justified = first
+        if not_justified:
+            raise DomainError("cells with large maxima are not right justified"
+                              if rotated else
+                              "cells with small minima are not left justified")
+        raise DomainError(f"value at least {n + 1 - i} appears above row {i}"
+                          if rotated else f"value at most {i} appears below row {i}")
 
-    pattern_rows = []
-    for i in range(1, n + 1):
-        counts = [sum(1 for k in row_keys if k <= i) for row_keys in keys]
-        for j, c in enumerate(counts):
-            if c and j >= i:
-                raise DomainError(f"value at least {n + 1 - i} appears above row {i}"
-                                  if rotated else f"value at most {i} appears below row {i}")
-            if c and any(k > i for k in keys[j][:c]):
-                raise DomainError("cells with large maxima are not right justified"
-                                  if rotated else
-                                  "cells with small minima are not left justified")
-        pattern_rows.append(tuple(counts[:i]) + (0,) * (i - len(counts[:i])))
-
-    pattern = GTPattern(pattern_rows)
+    counts += [(0,) * n] * (n - len(counts))  # rows the filling lacks
+    pattern = GTPattern._trusted(tuple(
+        row[:i] for i, row in enumerate(zip(*counts), start=1)))
     if not validate(pattern):
         raise DomainError("filling is not semistandard enough to invert")
     try:
-        return MarkedGTPattern(pattern, marks)
+        marked = MarkedGTPattern(pattern, marks)
     except ValueError as exc:
         raise DomainError(f"recovered marks are not markable: {exc}") from exc
+    if loose:
+        raise DomainError("filling is not semistandard enough to invert")
+    return marked
 
 
 def _fit(filling: SetValuedFilling, height: int, n) -> int:
     """`n`, by default the larger of the top entry and the row count."""
-    top = max((max(vals) for vals in filling.entries.values()), default=0)
+    top = max(map(max, filling.entries.values()), default=0)
     if n is None:
         n = max(top, height)
     if top > n or height > n:
@@ -262,7 +291,7 @@ def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
 
     Row i of the pattern is the shape covered by cells with minimum
     entry at most i; every value sitting in a cell whose minimum is
-    smaller contributes one mark.
+    smaller contributes one mark.  DomainError unless it is semistandard.
     """
     if filling.shape.inner:
         raise NotStraightShape(f"inner partition {filling.shape.inner} is not empty")
@@ -296,7 +325,7 @@ def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
 
     Row i of the pattern is the shape (rows read from the bottom) of
     cells whose maximum entry is at least n+1-i; every value below a
-    cell's maximum contributes one mark.
+    cell's maximum contributes one mark.  DomainError unless semistandard.
     """
     lam = _rotated_source(filling.shape)
     height = len(lam)

@@ -251,10 +251,13 @@ def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
     InternalInvariantError when a postcondition guaranteed by the
     underlying theorem fails, which signals a bug rather than bad input.
     """
-    q = query
-    n = q.n
-    _require_witness(tableau, q, "input", DomainError, straight=True)
+    _require_witness(tableau, query, "input", DomainError, straight=True)
+    return _gamma(tableau, query)
 
+
+def _gamma(tableau: SetValuedFilling, q: CoefficientQuery) -> GammaTrace:
+    """`gamma` past its input check, for a tableau known to be a witness."""
+    n = q.n
     marked = upsilon_inverse(tableau, n)
     counts = _prefix_counts(tableau, q.lam, n)
     y_rows = tuple(
@@ -262,7 +265,7 @@ def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
         for i in range(1, n + 1))
     contra_marks = frozenset((n + 1 - j, i - j) for (i, j) in marked.marks)
     try:
-        contra_pattern = GTPattern(y_rows)
+        contra_pattern = GTPattern._trusted(y_rows)
         if not validate(contra_pattern):
             raise ValueError("pattern inequalities fail")
         contra_marked = MarkedGTPattern(contra_pattern, contra_marks)
@@ -320,7 +323,7 @@ def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> G
             grid[a - 1][col - 1] -= 1
 
     try:
-        straight_pattern = GTPattern(grid)
+        straight_pattern = GTPattern._trusted(tuple(tuple(row) for row in grid))
         if not validate(straight_pattern):
             raise ValueError("pattern inequalities fail")
         if straight_pattern.row_partition(n) != q.mu:
@@ -333,7 +336,7 @@ def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> G
 
     tableau = upsilon(straight_marked)
     _require_witness(tableau, q, "output", InternalInvariantError, straight=True)
-    if gamma(tableau, q).contratableau != contratableau:
+    if _gamma(tableau, q).contratableau != contratableau:
         raise InternalInvariantError("round trip through gamma does not return the input")
 
     return GammaTrace(

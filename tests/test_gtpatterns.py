@@ -1,3 +1,5 @@
+import collections
+import itertools
 import os
 import subprocess
 import sys
@@ -8,10 +10,11 @@ import klrcalc
 import worked_examples as wx
 from klrcalc import (DomainError, GTPattern, MarkedGTPattern, NotRotatedShape,
                      NotStraightShape, Partition, SetValuedFilling,
-                     enumerate_gt, enumerate_svt, markable_positions,
-                     marked_patterns, omega, omega_inverse, partitions_up_to,
-                     rotate, skew, superstandard, total_entries, upsilon,
-                     upsilon_inverse, validate, weight, weight_reversal_check)
+                     enumerate_gt, enumerate_svt, is_semistandard,
+                     markable_positions, marked_patterns, omega, omega_inverse,
+                     partitions_up_to, rotate, skew, superstandard,
+                     total_entries, upsilon, upsilon_inverse, validate, weight,
+                     weight_reversal_check)
 from klrcalc import gtpatterns, verify
 
 
@@ -228,3 +231,54 @@ assert allocated == [SetValuedFilling] * len(built) == [SetValuedFilling] * 5
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
+
+
+def _all_fillings(shape, n):
+    """Every assignment of a non-empty subset of [n] to each cell."""
+    subsets = [set(s) for k in range(1, n + 1)
+               for s in itertools.combinations(range(1, n + 1), k)]
+    cells = shape.cells()
+    for sets in itertools.product(subsets, repeat=len(cells)):
+        yield SetValuedFilling(shape, dict(zip(cells, sets)))
+
+
+def test_inverses_accept_exactly_the_semistandard_fillings():
+    # every filling of every straight and rotated shape with |lam| <= 3, n = 3
+    n = 3
+    checked = 0
+    reasons = collections.Counter()
+    for lam in partitions_up_to(3):
+        for shape, inverse, forward in ((skew(lam), upsilon_inverse, upsilon),
+                                        (rotate(lam), omega_inverse, omega)):
+            for filling in _all_fillings(shape, n):
+                checked += 1
+                if is_semistandard(filling):
+                    assert forward(inverse(filling, n)) == filling
+                else:
+                    with pytest.raises(DomainError) as info:
+                        inverse(filling, n)
+                    reasons[str(info.value).split(":")[0]] += 1
+    assert checked == 2270
+    # which check reports each rejected filling: the first failing one
+    assert reasons == {
+        "value at most 1 appears below row 1": 456,
+        "value at most 2 appears below row 2": 42,
+        "cells with small minima are not left justified": 292,
+        "value at least 3 appears above row 1": 456,
+        "value at least 2 appears above row 2": 42,
+        "cells with large maxima are not right justified": 292,
+        "recovered marks are not markable": 66,
+        "filling is not semistandard enough to invert": 446,
+    }
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[{1}], [{1}]], "value at most 1 appears below row 1"),
+    ([[{2}, {1}]], "cells with small minima are not left justified"),
+    ([[{1, 3}, {2}], [{2}]], "filling is not semistandard enough to invert"),
+])
+def test_upsilon_inverse_rejection_messages(rows, message):
+    shape = skew([len(row) for row in rows])
+    with pytest.raises(DomainError) as info:
+        upsilon_inverse(SetValuedFilling.from_rows(shape, rows), 3)
+    assert str(info.value) == message

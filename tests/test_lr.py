@@ -2,11 +2,13 @@ import pytest
 
 import worked_examples as wx
 from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
-                     Partition, SetValuedFilling, buch_tableaux, coeff_buch,
-                     coeff_classical, coeff_contra, coeff_oracle,
-                     contra_tableaux, enumerate_svt, gamma, gamma_inverse,
-                     is_lambda_dominant, partitions_up_to, rotate, skew,
-                     total_entries, upsilon_inverse, weight, witness_lists)
+                     InternalInvariantError, Partition, SetValuedFilling,
+                     buch_tableaux, coeff_buch, coeff_classical, coeff_contra,
+                     coeff_oracle, contra_tableaux, enumerate_svt, gamma,
+                     gamma_inverse, is_lambda_dominant, partitions_up_to,
+                     rotate, skew, total_entries, upsilon_inverse, weight,
+                     witness_lists)
+from klrcalc import lr
 
 
 def final_query():
@@ -106,6 +108,19 @@ def test_gamma_rejects_bad_inputs():
         gamma(not_dominant, q)
     with pytest.raises(DomainError):
         gamma_inverse(wx.t1(), q)
+
+
+def test_gamma_inverse_closes_its_round_trip(monkeypatch):
+    # gamma_inverse checks its output by the forward map past the input
+    # check; a forward map that sends t1 to s2 must fail that round trip
+    q = final_query()
+    real = lr._gamma
+    swap = {wx.t1(): wx.t2(), wx.t2(): wx.t1()}
+    monkeypatch.setattr(lr, "_gamma", lambda t, query: real(swap[t], query))
+    with pytest.raises(InternalInvariantError, match="round trip"):
+        gamma_inverse(wx.s1(), q)
+    with pytest.raises(DomainError):
+        gamma(wx.s1(), q)  # not a straight-shape witness
 
 
 def test_column_ops_commute():
