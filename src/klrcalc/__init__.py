@@ -2,9 +2,9 @@
 a polynomial oracle, and invertible witness bijections."""
 
 from .errors import (ContainmentError, DegreeError, DimensionMismatch,
-                     DomainError, InputError, InternalInvariantError,
-                     InvalidMark, KLRError, NotRotatedShape, NotStraightShape,
-                     NotSymmetric, ResidualNonzero)
+                     DomainError, InputError, InternalInvariantError, KLRError,
+                     NotRotatedShape, NotStraightShape, NotSymmetric,
+                     ResidualNonzero)
 from .grothendieck import (BasisExpansion, SparseIntPolynomial,
                            expand_in_g_basis, expand_in_schur_basis,
                            grothendieck_poly, is_symmetric, multiply,

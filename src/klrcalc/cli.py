@@ -128,38 +128,29 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_bijection(args) -> int:
     obj = _read_input(args.input)
-    if args.direction in ("gamma", "gamma-inv"):
+    gamma = args.direction in ("gamma", "gamma-inv")
+    if gamma:
         for name in ("lam", "mu", "nu"):
             if getattr(args, name) is None:
                 print(f"--{'lambda' if name == 'lam' else name} is required "
                       f"for {args.direction}", file=sys.stderr)
                 return EXIT_USAGE
     # a parse problem is exit 1 via main, not a domain error
-    if args.direction in ("upsilon", "omega"):
-        marked = jsonio.marked_from_obj(obj)
-    else:
-        filling = jsonio.filling_from_obj(obj)
+    forward = args.direction in ("upsilon", "omega")
+    item = (jsonio.marked_from_obj if forward else jsonio.filling_from_obj)(obj)
+    run = {"gamma": lr.gamma, "gamma-inv": lr.gamma_inverse,
+           "upsilon": upsilon, "omega": omega,
+           "upsilon-inv": upsilon_inverse, "omega-inv": omega_inverse}[args.direction]
     try:
-        if args.direction in ("gamma", "gamma-inv"):
+        if gamma:
             query = lr.CoefficientQuery(args.lam, args.mu, args.nu, args.n)
-            if args.direction == "gamma":
-                trace = lr.gamma(filling, query)
-            else:
-                trace = lr.gamma_inverse(filling, query)
-            print(json.dumps(jsonio.trace_obj(trace), indent=2))
-            return EXIT_OK
-        if args.direction == "upsilon":
-            out = {"input": jsonio.marked_obj(marked),
-                   "output": jsonio.filling_obj(upsilon(marked))}
-        elif args.direction == "omega":
-            out = {"input": jsonio.marked_obj(marked),
-                   "output": jsonio.filling_obj(omega(marked))}
-        elif args.direction == "upsilon-inv":
-            out = {"input": jsonio.filling_obj(filling),
-                   "output": jsonio.marked_obj(upsilon_inverse(filling, args.n))}
-        else:  # omega-inv
-            out = {"input": jsonio.filling_obj(filling),
-                   "output": jsonio.marked_obj(omega_inverse(filling, args.n))}
+            out = jsonio.trace_obj(run(item, query))
+        elif forward:
+            out = {"input": jsonio.marked_obj(item),
+                   "output": jsonio.filling_obj(run(item))}
+        else:
+            out = {"input": jsonio.filling_obj(item),
+                   "output": jsonio.marked_obj(run(item, args.n))}
         print(json.dumps(out, indent=2))
         return EXIT_OK
     except (DomainError, NotRotatedShape, NotStraightShape, ValueError) as exc:

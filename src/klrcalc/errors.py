@@ -9,10 +9,6 @@ class ContainmentError(KLRError):
     """The inner partition is not contained in the outer one."""
 
 
-class InvalidMark(KLRError):
-    """A mark refers to a row where nothing can be inserted."""
-
-
 class NotStraightShape(KLRError):
     """The filling's shape has a non-empty inner partition."""
 

@@ -1,17 +1,18 @@
 """Triangular interlacing patterns, markings, and the two filling bijections.
 
-A pattern of size n is a triangular integer array whose rows, read as
-partitions, interlace from top to bottom.  Marking a position with
+A pattern of size n is a triangular integer array whose rows are
+partitions that interlace from top to bottom.  Marking a position with
 strictly positive south-east slack records one extra entry insertion;
 expanding all marks row strip by row strip produces either a straight
 set-valued tableau (`upsilon`) or a rotated one (`omega`).
 
-Both are one strip engine in two orientations.  Straight: pass i writes
-i, and pattern row j is shape row j read from the left.  Rotated: pass i
-writes n+1-i, and pattern row j is bottom-row j read from the right.
-`_expand` runs the passes.  `_contract` undoes them in one pass over the
-cells for `upsilon_inverse` and `omega_inverse`, which accept exactly the
-semistandard fillings with entries at most n.
+Both are one strip engine in two orientations, placed by `_frame`.
+Straight: pass i writes i, and pattern row j is shape row j read from
+the left.  Rotated: pass i writes n+1-i, and pattern row j is bottom-row
+j read from the right.  `_expand` runs the passes; `upsilon_inverse` and
+`omega_inverse` read the cells through the same frame, and `_contract`
+undoes the passes in one sweep, accepting exactly the semistandard
+fillings with entries at most n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import DomainError, InvalidMark, NotRotatedShape, NotStraightShape
+from .errors import DomainError, NotRotatedShape, NotStraightShape
 from .shapes import Partition, RotatedShape, as_partition, rotate, skew
 from .tableaux import SetValuedFilling
 
@@ -51,10 +52,6 @@ class GTPattern:
         """Entry in row i at position j, both 1-based."""
         return self.rows[i - 1][j - 1]
 
-    def row_partition(self, i: int) -> Partition:
-        """Row i as a partition (row 0 is empty)."""
-        return Partition(self.rows[i - 1]) if i else Partition(())
-
     def __eq__(self, other):
         if isinstance(other, GTPattern):
             return self.rows == other.rows
@@ -68,13 +65,14 @@ class GTPattern:
 
 
 def validate(pattern: GTPattern) -> bool:
-    """All north-east and south-east differences are non-negative."""
+    """Rows are partitions that interlace: every north-east and south-east
+    difference is non-negative, and so is the bottom row's last entry."""
     rows = pattern.rows
     for above, row in zip(rows, rows[1:]):
         for left, x, right in zip(row, above, row[1:]):  # x sits between them
             if left < x or x < right:
                 return False
-    return True
+    return not rows or rows[-1][-1] >= 0
 
 
 def markable_positions(pattern: GTPattern) -> frozenset:
@@ -158,7 +156,7 @@ def _frame(parts: tuple, rotated: bool) -> tuple:
     """The straight or rotated shape over bottom row `parts` (zeros allowed),
     with (sign, row0, col0): pattern row j, cell c is at (row0 + sign*j,
     col0 + sign*c).  Shapes are immutable, so every caller shares one."""
-    lam = Partition(tuple(w for w in parts if w > 0))
+    lam = Partition(parts)
     if rotated:
         return rotate(lam), -1, len(lam) + 1, lam[0] + 1
     return skew(lam, ()), 1, 0, 0
@@ -183,15 +181,11 @@ def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
         label = frozenset((n + 1 - i if rotated else i,))
         above = rows[i - 2] if i > 1 else ()
         for j, width in enumerate(rows[i - 1], start=1):
-            have = max(above[j - 1], 0) if j < i else 0
+            have = above[j - 1] if j < i else 0
             for c in range(have + 1, width + 1):
                 entries[(row0 + sign * j, col0 + sign * c)] = label
-    for (i, j) in sorted(marked.marks):  # markable: 1 <= j < i <= n
-        have = max(rows[i - 2][j - 1], 0)
-        if have == 0:
-            raise InvalidMark(f"pass {i}: {'bottom-row' if rotated else 'row'} {j} "
-                              f"has no cell to extend")
-        cell = (row0 + sign * j, col0 + sign * have)
+    for (i, j) in sorted(marked.marks):  # markable: x(i-1, j) > x(i, j+1) >= 0
+        cell = (row0 + sign * j, col0 + sign * rows[i - 2][j - 1])
         entries[cell] = entries[cell] | {n + 1 - i if rotated else i}
     return SetValuedFilling._trusted(shape, entries)
 
@@ -276,14 +270,20 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     return marked
 
 
-def _fit(filling: SetValuedFilling, height: int, n) -> int:
-    """`n`, by default the larger of the top entry and the row count."""
-    top = max(map(max, filling.entries.values()), default=0)
+def _read(filling: SetValuedFilling, lam: Partition, n, rotated: bool) -> MarkedGTPattern:
+    """Contract `filling` of the straight or rotated shape of `lam`, reading
+    pattern row j, cell c where `_frame` puts it for `_expand`; `n` defaults
+    to the larger of the top entry and the row count."""
+    _, sign, row0, col0 = _frame(lam.parts, rotated)
+    entries = filling.entries
+    rows = [[entries[(row0 + sign * j, col0 + sign * c)] for c in range(1, width + 1)]
+            for j, width in enumerate(lam, start=1)]
+    top = max(map(max, entries.values()), default=0)
     if n is None:
-        n = max(top, height)
-    if top > n or height > n:
+        n = max(top, len(rows))
+    if top > n or len(rows) > n:
         raise DomainError(f"filling does not fit in a pattern of size {n}")
-    return n
+    return _contract(rows, n, rotated)
 
 
 def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
@@ -295,8 +295,7 @@ def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     """
     if filling.shape.inner:
         raise NotStraightShape(f"inner partition {filling.shape.inner} is not empty")
-    rows = filling.rows()
-    return _contract(rows, _fit(filling, len(rows), n), rotated=False)
+    return _read(filling, filling.shape.outer, n, rotated=False)
 
 
 def _rotated_source(shape) -> Partition:
@@ -327,13 +326,7 @@ def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     cells whose maximum entry is at least n+1-i; every value below a
     cell's maximum contributes one mark.  DomainError unless semistandard.
     """
-    lam = _rotated_source(filling.shape)
-    height = len(lam)
-    width = lam[0]
-    # bottom-row lists, offset 0 is the rightmost cell
-    rows = [[filling.entries[(height + 1 - j, width - o)] for o in range(lam[j - 1])]
-            for j in range(1, height + 1)]
-    return _contract(rows, _fit(filling, height, n), rotated=True)
+    return _read(filling, _rotated_source(filling.shape), n, rotated=True)
 
 
 def weight_reversal_check(marked: MarkedGTPattern) -> bool:

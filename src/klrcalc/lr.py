@@ -214,22 +214,6 @@ def _suffix_counts(contratableau: SetValuedFilling, mu: Partition, n: int) -> tu
     return tuple(table)
 
 
-def _check_membership(filling, shape, target, dominant_for, n, what):
-    if filling.shape != shape:
-        return f"{what}: shape {filling.shape!r} != {shape!r}"
-    if not is_semistandard(filling):
-        return f"{what}: not semistandard"
-    try:
-        got = weight(filling, n)
-    except ValueError:
-        return f"{what}: entries exceed n={n}"
-    if got != target + (0,) * (n - len(target)):
-        return f"{what}: weight {got} != {target}"
-    if not is_lambda_dominant(filling, dominant_for):
-        return f"{what}: not {tuple(dominant_for)}-dominant"
-    return None
-
-
 def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight: bool):
     """Raise `error` unless `filling` is a witness of `q`: on the straight
     side a lam-dominant filling of shape mu with weight nu - lam, on the
@@ -237,11 +221,31 @@ def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight
     sub, shape = (q.lam, skew(q.mu, ())) if straight else (q.mu, rotate(q.lam))
     target = _weight_target(q.nu, sub)
     if target is None:
-        problem = f"nu - {'lam' if straight else 'mu'} has a negative entry"
-    else:
-        problem = _check_membership(filling, shape, target, sub, q.n, what)
-    if problem:
-        raise error(problem)
+        raise error(f"nu - {'lam' if straight else 'mu'} has a negative entry")
+    if filling.shape != shape:
+        raise error(f"{what}: shape {filling.shape!r} != {shape!r}")
+    if not is_semistandard(filling):
+        raise error(f"{what}: not semistandard")
+    try:
+        got = weight(filling, q.n)
+    except ValueError:
+        raise error(f"{what}: entries exceed n={q.n}") from None
+    if got != target + (0,) * (q.n - len(target)):
+        raise error(f"{what}: weight {got} != {target}")
+    if not is_lambda_dominant(filling, sub):
+        raise error(f"{what}: not {tuple(sub)}-dominant")
+
+
+def _marked_pattern(rows: tuple, marks, what: str) -> MarkedGTPattern:
+    """The marked pattern the gamma path computed; InternalInvariantError,
+    "<what> pattern invalid: ...", unless it is one."""
+    try:
+        pattern = GTPattern._trusted(rows)
+        if not validate(pattern):
+            raise ValueError("pattern inequalities fail")
+        return MarkedGTPattern(pattern, marks)
+    except ValueError as exc:
+        raise InternalInvariantError(f"{what} pattern invalid: {exc}") from exc
 
 
 def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
@@ -263,21 +267,15 @@ def _gamma(tableau: SetValuedFilling, q: CoefficientQuery) -> GammaTrace:
     y_rows = tuple(
         tuple(counts[n - i + j - 1][n - i] for j in range(1, i + 1))
         for i in range(1, n + 1))
-    contra_marks = frozenset((n + 1 - j, i - j) for (i, j) in marked.marks)
-    try:
-        contra_pattern = GTPattern._trusted(y_rows)
-        if not validate(contra_pattern):
-            raise ValueError("pattern inequalities fail")
-        contra_marked = MarkedGTPattern(contra_pattern, contra_marks)
-    except ValueError as exc:
-        raise InternalInvariantError(f"relabelled pattern invalid: {exc}") from exc
+    contra = _marked_pattern(y_rows, ((n + 1 - j, i - j) for (i, j) in marked.marks),
+                             "relabelled")
 
-    image = omega(contra_marked)
+    image = omega(contra)
     _require_witness(image, q, "image", InternalInvariantError, straight=False)
     return GammaTrace(
         direction="gamma", query=q, tableau=tableau,
         tableau_pattern=marked.pattern, tableau_marks=marked.marks,
-        contra_pattern=contra_pattern, contra_marks=contra_marks,
+        contra_pattern=contra.pattern, contra_marks=contra.marks,
         contratableau=image, prefix_counts=counts)
 
 
@@ -322,26 +320,22 @@ def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> G
         for a in range(k, n + 1):
             grid[a - 1][col - 1] -= 1
 
-    try:
-        straight_pattern = GTPattern._trusted(tuple(tuple(row) for row in grid))
-        if not validate(straight_pattern):
-            raise ValueError("pattern inequalities fail")
-        if straight_pattern.row_partition(n) != q.mu:
-            raise ValueError(
-                f"bottom row {straight_pattern.rows[-1] if n else ()} != {q.mu}")
-        straight_marks = frozenset((n + 1 - i + j, n + 1 - i) for (i, j) in marked.marks)
-        straight_marked = MarkedGTPattern(straight_pattern, straight_marks)
-    except ValueError as exc:
-        raise InternalInvariantError(f"decremented pattern invalid: {exc}") from exc
+    straight = _marked_pattern(tuple(tuple(row) for row in grid),
+                               ((n + 1 - i + j, n + 1 - i) for (i, j) in marked.marks),
+                               "decremented")
+    bottom = straight.pattern.rows[-1] if n else ()
+    if Partition(bottom) != q.mu:
+        raise InternalInvariantError(
+            f"decremented pattern invalid: bottom row {bottom} != {q.mu}")
 
-    tableau = upsilon(straight_marked)
+    tableau = upsilon(straight)
     _require_witness(tableau, q, "output", InternalInvariantError, straight=True)
     if _gamma(tableau, q).contratableau != contratableau:
         raise InternalInvariantError("round trip through gamma does not return the input")
 
     return GammaTrace(
         direction="gamma_inverse", query=q, tableau=tableau,
-        tableau_pattern=straight_pattern, tableau_marks=straight_marks,
+        tableau_pattern=straight.pattern, tableau_marks=straight.marks,
         contra_pattern=z, contra_marks=marked.marks,
         contratableau=contratableau,
         suffix_counts=_suffix_counts(contratableau, q.mu, n),

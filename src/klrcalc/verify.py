@@ -34,7 +34,11 @@ def check_bijections(lam, n: int) -> str:
     """Marked patterns over lam biject onto both filling families.
 
     Returns an empty string on success, else a description of the first
-    problem found.
+    problem found.  Checked in order: upsilon (onto shape lam), then omega
+    (onto rotated lam), each injective, onto the fillings with entries at
+    most n, and inverted by its inverse; then per marked pattern the
+    mark/singleton restriction and the weight reversal; then the count
+    identity, sum of 2^|markable| over the patterns = number of fillings.
     """
     lam = Partition(lam)
     if len(lam) > n:
@@ -42,33 +46,29 @@ def check_bijections(lam, n: int) -> str:
     patterns = list(gtpatterns.enumerate_gt(lam, n))
     marked = [m for x in patterns for m in gtpatterns.marked_patterns(x)]
 
-    straight_images = [gtpatterns.upsilon(m) for m in marked]
-    straight_set = set(straight_images)
-    if len(straight_set) != len(straight_images):
-        return f"upsilon not injective on {tuple(lam)}, n={n}"
-    universe = set(tableaux.enumerate_svt(skew(lam, ()), n))
-    if straight_set != universe:
-        return (f"upsilon image has {len(straight_set)} fillings, "
-                f"universe has {len(universe)} for {tuple(lam)}, n={n}")
-    for m, image in zip(marked, straight_images):
-        if gtpatterns.upsilon_inverse(image, n) != m:
-            return f"upsilon round trip failed on {m!r}"
-        if bool(m.marks) == (tableaux.total_entries(image) == image.num_cells()):
-            return f"mark/singleton restriction failed on {m!r}"
+    # looked up per call, so a replaced module attribute is the one checked
+    images = []
+    for name, forward, inverse, shape in (
+            ("upsilon", gtpatterns.upsilon, gtpatterns.upsilon_inverse, skew(lam, ())),
+            ("omega", gtpatterns.omega, gtpatterns.omega_inverse, rotate(lam))):
+        side = [forward(m) for m in marked]
+        side_set = set(side)
+        if len(side_set) != len(side):
+            return f"{name} not injective on {tuple(lam)}, n={n}"
+        universe = set(tableaux.enumerate_svt(shape, n))
+        if side_set != universe:
+            return (f"{name} image has {len(side_set)} fillings, "
+                    f"universe has {len(universe)} for {tuple(lam)}, n={n}")
+        for m, image in zip(marked, side):
+            if inverse(image, n) != m:
+                return f"{name} round trip failed on {m!r}"
+        images.append(side)
 
-    rotated_images = [gtpatterns.omega(m) for m in marked]
-    rotated_set = set(rotated_images)
-    if len(rotated_set) != len(rotated_images):
-        return f"omega not injective on {tuple(lam)}, n={n}"
-    universe = set(tableaux.enumerate_svt(rotate(lam), n))
-    if rotated_set != universe:
-        return (f"omega image has {len(rotated_set)} fillings, "
-                f"universe has {len(universe)} for {tuple(lam)}, n={n}")
-    for m, straight, image in zip(marked, straight_images, rotated_images):
-        if gtpatterns.omega_inverse(image, n) != m:
-            return f"omega round trip failed on {m!r}"
+    for m, straight, rotated in zip(marked, *images):
+        if bool(m.marks) == (tableaux.total_entries(straight) == straight.num_cells()):
+            return f"mark/singleton restriction failed on {m!r}"
         # weight_reversal_check on the images already built
-        if tableaux.weight(image, n) != tableaux.weight(straight, n)[::-1]:
+        if tableaux.weight(rotated, n) != tableaux.weight(straight, n)[::-1]:
             return f"weight reversal failed on {m!r}"
 
     total = sum(2 ** len(gtpatterns.markable_positions(x)) for x in patterns)
@@ -77,16 +77,17 @@ def check_bijections(lam, n: int) -> str:
     return ""
 
 
-def check_rules(lam, mu, n: int, extra_degrees: int = 3) -> str:
+def check_rules(lam, mu, n: int) -> str:
     """All three coefficient routes agree for every nu up to the cap,
     zeros included, and the witness bijection round trips.
 
-    The witnesses come from one search per side for the whole instance
-    (`lr.witness_lists`), not one per nu; a nu with no witness on either
-    side still has its zero counts checked against the oracle."""
+    The cap is |lam| + |mu| + 3.  The witnesses come from one search per
+    side for the whole instance (`lr.witness_lists`), not one per nu; a
+    nu with no witness on either side still has its zero counts checked
+    against the oracle."""
     lam = Partition(lam)
     mu = Partition(mu)
-    cap = lam.size() + mu.size() + extra_degrees
+    cap = lam.size() + mu.size() + 3
     expansion = grothendieck.expand_product(lam, mu, n, cap)
     lookup = lr.witness_lists(lam, mu, n)
 

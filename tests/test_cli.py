@@ -142,6 +142,20 @@ def test_bijection_domain_error_exit_code(capsys, tmp_path):
     assert out == "" and "domain" in err.lower()
 
 
+@pytest.mark.parametrize("direction", ["upsilon", "omega"])
+@pytest.mark.parametrize("text", ['{"rows":[[1],[1,-1]],"marks":[[2,1]]}',
+                                  '{"rows":[[0],[0,-1]],"marks":[[2,1]]}'],
+                         ids=["top-1", "top-0"])
+def test_bijection_rejects_negative_pattern_entries(capsys, tmp_path, direction, text):
+    path = tmp_path / "pattern.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "bijection", "--direction", direction,
+                         "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("domain error: ")
+
+
 def test_expand_command(capsys):
     code, out, _ = run(capsys, "expand", "--lambda", "1", "--mu", "1",
                        "--n", "2", "--cap", "4")

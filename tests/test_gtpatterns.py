@@ -22,6 +22,12 @@ def test_validate_examples():
     assert validate(wx.GT_EXAMPLE)
     assert validate(GTPattern([(0,), (0, 0), (0, 0, 0)]))
     assert not validate(GTPattern([(1,), (2, 2)]))  # south-east slack negative
+    # rows that interlace but are not partitions; (2, 1) is markable in both
+    for pattern in (GTPattern([(1,), (1, -1)]), GTPattern([(0,), (0, -1)])):
+        assert not validate(pattern)
+        for expand in (upsilon, omega):
+            with pytest.raises(DomainError):
+                expand(MarkedGTPattern(pattern, [(2, 1)]))
 
 
 def test_pattern_shape_errors():
@@ -186,6 +192,20 @@ def test_check_bijections_reports_a_broken_inverse(monkeypatch, name, detail):
     bijections, rules = verify.run_verify(2, 2, jobs=1)
     assert bijections.failures == [(((2,), 2), f"{detail}{victim!r}")]
     assert rules.ok
+
+
+@pytest.mark.parametrize("name", ["upsilon", "omega"])
+def test_check_bijections_sees_a_replaced_forward_map(monkeypatch, name):
+    # a forward map that sends one marked pattern to another's image
+    real = getattr(gtpatterns, name)
+    victim, twin = [MarkedGTPattern(GTPattern([(2,), (2, 0)]), marks)
+                    for marks in ([(2, 1)], [])]
+
+    def broken(marked):
+        return real(twin if marked == victim else marked)
+
+    monkeypatch.setattr(gtpatterns, name, broken)
+    assert verify.check_bijections((2,), 2) == f"{name} not injective on (2,), n=2"
 
 
 def _rebuilt(filling):
