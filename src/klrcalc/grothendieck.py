@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb
-from operator import add
+from operator import itemgetter
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
 from .shapes import Partition, as_partition, partitions, skew
@@ -130,27 +130,50 @@ class SparseIntPolynomial:
         return f"<poly n={self.n} terms={len(self.terms)} cap={self.cap}>"
 
 
+def _packed(terms: dict, base: int) -> list:
+    """(degree, key, coefficient) per term, the key read in base `base`."""
+    out = []
+    for e, c in terms.items():
+        key = 0
+        for x in e:
+            key = key * base + x
+        out.append((sum(e), key, c))
+    return out
+
+
 def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> SparseIntPolynomial:
-    """Exact product, dropping terms whose total degree exceeds `cap`."""
+    """Exact product, dropping terms whose total degree exceeds `cap`.
+
+    Inside the call each exponent vector is one int in base
+    B = (largest exponent of a) + (largest exponent of b) + 1.  No
+    coordinate of a product exponent reaches B, so adding two keys never
+    carries and adds the two vectors.  b's terms are sorted by degree
+    once, and each inner loop stops at the first term past the cap.
+    Sums that cancel to 0 are dropped when the keys are read back.
+    """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} variables vs {b.n}")
     if cap is None:
         caps = [c for c in (a.cap, b.cap) if c is not None]
         cap = min(caps) if caps else None
-    bterms = [(sum(e), e, c) for e, c in b.terms.items()]
+    n = a.n
+    base = (max(chain.from_iterable(a.terms), default=0)
+            + max(chain.from_iterable(b.terms), default=0) + 1)
+    bterms = sorted(_packed(b.terms, base), key=itemgetter(0))
+    limit = cap if cap is not None else (base - 1) * n
     out = {}
-    for ea, ca in a.terms.items():
-        da = sum(ea)
-        for db, eb, cb in bterms:
-            if cap is not None and da + db > cap:
-                continue
-            e = tuple(map(add, ea, eb))
-            merged = out.get(e, 0) + ca * cb
-            if merged:
-                out[e] = merged
-            else:
-                out.pop(e, None)
-    return SparseIntPolynomial._trusted(a.n, out, cap)
+    get = out.get
+    for da, ka, ca in _packed(a.terms, base):
+        room = limit - da
+        for db, kb, cb in bterms:
+            if db > room:
+                break
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    powers = [base ** i for i in reversed(range(n))]
+    return SparseIntPolynomial._trusted(
+        n, {tuple([k // p % base for p in powers]): c for k, c in out.items() if c},
+        cap)
 
 
 def is_symmetric(p: SparseIntPolynomial) -> bool:
@@ -318,11 +341,17 @@ def _peel(residual: dict, d: int, n: int, element) -> dict:
 def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     """Coordinates of `p` on the signed set-valued basis, by degree peeling.
 
-    `p` must be symmetric up to the cap.  Each degree is peeled in turn;
-    any degree that does not clear completely raises ResidualNonzero.
+    `p` must be symmetric up to the cap, and `cap` may not exceed `p.cap`:
+    terms above `p.cap` were dropped, not zero.  Each degree is peeled in
+    turn and the residual is checked once, at the end.  A G_nu has no term
+    below degree |nu|, so peeling degree d never touches what is left at
+    lower degrees: the lowest leftover monomial lies in the first degree
+    that did not clear, and ResidualNonzero names that degree.
     """
     if cap is None:
         cap = p.cap if p.cap is not None else p.max_degree()
+    elif p.cap is not None and cap > p.cap:
+        raise ValueError(f"cap {cap} is above the polynomial's cap {p.cap}")
     truncated = p.truncate(cap)
     if not is_symmetric(truncated):
         raise NotSymmetric(f"{p!r} is not symmetric up to degree {cap}")
@@ -331,10 +360,9 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     for d in range(cap + 1):
         coeffs.update(_peel(residual, d, p.n,
                             lambda nu: grothendieck_poly(nu, (), p.n, cap)))
-        left = [e for e in residual if sum(e) == d]
-        if left:
-            raise ResidualNonzero(
-                f"degree {d} did not clear; lowest monomial {_lowest_monomial(left)}")
+    if residual:
+        low = _lowest_monomial(residual)
+        raise ResidualNonzero(f"degree {sum(low)} did not clear; lowest monomial {low}")
     return BasisExpansion("G", coeffs)
 
 

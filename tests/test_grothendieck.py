@@ -1,8 +1,11 @@
+import random
 from itertools import permutations
 from math import comb
+from operator import add
 
 import pytest
 
+from klrcalc import grothendieck, verify
 from klrcalc import (ContainmentError, DimensionMismatch, NotSymmetric,
                      Partition, ResidualNonzero, SparseIntPolynomial, contains,
                      enumerate_svt, expand_in_g_basis, expand_in_schur_basis,
@@ -27,6 +30,27 @@ def g_poly_by_enumeration(outer, inner, n, caps):
                 terms[w] = terms.get(w, 0) + (-1 if (entries - cells) % 2 else 1)
         polys.append(SparseIntPolynomial(n, terms, cap))
     return polys
+
+
+def multiply_reference(a, b, cap=None):
+    """Reference: the product as one tuple sum per pair of terms."""
+    if cap is None:
+        caps = [c for c in (a.cap, b.cap) if c is not None]
+        cap = min(caps) if caps else None
+    bterms = [(sum(e), e, c) for e, c in b.terms.items()]
+    out = {}
+    for ea, ca in a.terms.items():
+        da = sum(ea)
+        for db, eb, cb in bterms:
+            if cap is not None and da + db > cap:
+                continue
+            e = tuple(map(add, ea, eb))
+            merged = out.get(e, 0) + ca * cb
+            if merged:
+                out[e] = merged
+            else:
+                out.pop(e, None)
+    return SparseIntPolynomial(a.n, out, cap)
 
 
 def s_poly_by_enumeration(outer, inner, n):
@@ -86,6 +110,58 @@ def test_multiply():
         multiply(X1, SparseIntPolynomial(3, {(1, 0, 0): 1}))
 
 
+def _random_poly(rng, n):
+    """Up to 12 terms with exponents up to 6 and coefficients +-1, +-2;
+    a low top exponent makes the products collide and cancel."""
+    top = rng.choice((1, 2, 6))
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        e = tuple(rng.randint(0, top) for _ in range(n))
+        terms[e] = terms.get(e, 0) + rng.choice((-2, -1, 1, 2))
+    cap = rng.choice((None, None, rng.randint(0, 6 * n)))
+    return SparseIntPolynomial(n, terms, cap)
+
+
+def _assert_multiply_matches_reference(a, b, cap):
+    got = multiply(a, b, cap)
+    expected = multiply_reference(a, b, cap)
+    assert got.terms == expected.terms, (a.terms, b.terms, cap)
+    assert got.cap == expected.cap
+
+
+def test_multiply_matches_reference_on_random_polynomials():
+    rng = random.Random(20021)
+    cancelled = 0
+    for n in range(6):
+        for _ in range(60):
+            a, b = _random_poly(rng, n), _random_poly(rng, n)
+            degrees = [da + db for da in map(sum, a.terms) for db in map(sum, b.terms)]
+            low, high = min(degrees, default=0), max(degrees, default=0)
+            caps = {None, (low + high) // 2, high + 1}
+            if low > 0:
+                caps.add(low - 1)
+            for cap in caps:
+                _assert_multiply_matches_reference(a, b, cap)
+            sums = {tuple(map(add, ea, eb)) for ea in a.terms for eb in b.terms}
+            cancelled += len(sums) - len(multiply_reference(a, b, high).terms)
+    assert cancelled >= 50  # sums that cancel to 0 are in the sample
+
+
+def test_multiply_matches_reference_on_verify_products(monkeypatch):
+    products = []
+    real = grothendieck.multiply
+
+    def recording(a, b, cap=None):
+        products.append((a, b, cap))
+        return real(a, b, cap)
+
+    monkeypatch.setattr(grothendieck, "multiply", recording)
+    assert all(r.ok for r in verify.run_verify(3, 3, jobs=1))
+    assert len(products) == 49  # one per rule instance of verify 3/3
+    for a, b, cap in products:
+        _assert_multiply_matches_reference(a, b, cap)
+
+
 def test_is_symmetric():
     assert is_symmetric(grothendieck_poly((2, 1), (), 3))
     assert not is_symmetric(X1)
@@ -115,6 +191,31 @@ def test_expand_errors():
     mixed = schur_poly((1,), (), 2) + SparseIntPolynomial.constant(2)
     with pytest.raises(ResidualNonzero):
         expand_in_schur_basis(mixed)
+
+
+def test_expand_g_basis_rejects_cap_above_polynomial_cap():
+    g1 = grothendieck_poly((1,), (), 2, 2)
+    square = multiply(g1, g1, 2)  # terms above degree 2 dropped, not zero
+    with pytest.raises(ValueError, match=r"cap 4 .*cap 2"):
+        expand_in_g_basis(square, 4)
+    assert expand_in_g_basis(square, 2).coeffs == {Partition((2,)): 1,
+                                                   Partition((1, 1)): 1}
+
+
+def test_expand_g_basis_residual_message(monkeypatch):
+    real = grothendieck.grothendieck_poly
+
+    def lossy(outer, inner, n, cap=None):
+        g = real(outer, inner, n, cap)
+        if Partition(outer) == Partition((2, 1)):  # G_(2,1) loses x1 x2^2
+            g = SparseIntPolynomial(n, {e: c for e, c in g.terms.items()
+                                        if e != (1, 2)}, g.cap)
+        return g
+
+    monkeypatch.setattr(grothendieck, "grothendieck_poly", lossy)
+    with pytest.raises(ResidualNonzero) as info:
+        grothendieck.expand_product((1,), (1,), 2, 4)
+    assert str(info.value) == "degree 3 did not clear; lowest monomial (1, 2)"
 
 
 def test_expand_schur_basis():
