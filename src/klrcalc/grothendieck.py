@@ -352,10 +352,11 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
         cap = p.cap if p.cap is not None else p.max_degree()
     elif p.cap is not None and cap > p.cap:
         raise ValueError(f"cap {cap} is above the polynomial's cap {p.cap}")
-    truncated = p.truncate(cap)
-    if not is_symmetric(truncated):
+    # a polynomial has no term above its own cap, so only a lower cap truncates
+    kept = p if cap == p.cap else p.truncate(cap)
+    if not is_symmetric(kept):
         raise NotSymmetric(f"{p!r} is not symmetric up to degree {cap}")
-    residual = truncated.terms  # a fresh dict, owned here
+    residual = dict(kept.terms)  # owned here
     coeffs = {}
     for d in range(cap + 1):
         coeffs.update(_peel(residual, d, p.n,

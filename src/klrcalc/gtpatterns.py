@@ -97,6 +97,15 @@ class MarkedGTPattern:
         self.pattern = pattern
         self.marks = marks
 
+    @classmethod
+    def _trusted(cls, pattern: GTPattern, marks: frozenset):
+        """Wrap unchecked: `marks` is a frozenset of (int, int) positions
+        drawn from `markable_positions(pattern)`."""
+        self = cls.__new__(cls)
+        self.pattern = pattern
+        self.marks = marks
+        return self
+
     @property
     def n(self) -> int:
         return self.pattern.n
@@ -147,7 +156,7 @@ def marked_patterns(pattern: GTPattern):
     """All markings of `pattern` in a fixed order, the empty marking first."""
     positions = sorted(markable_positions(pattern))
     for m in range(1 << len(positions)):
-        yield MarkedGTPattern(
+        yield MarkedGTPattern._trusted(
             pattern, frozenset(p for b, p in enumerate(positions) if m >> b & 1))
 
 

@@ -184,8 +184,9 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     `weight_filter` restricts the stream to fillings with exactly that
     weight, `singleton` to one entry per cell, and `dominant_for=lam`
     keeps only the fillings that `is_lambda_dominant(f, lam)` accepts.
-    Infeasible partial fillings are pruned by per-value budgets and by
-    how much weight the remaining cells can still absorb.
+    Every cut below removes only partial fillings that have no
+    completion, so the stream is the post-filtered stream, in the same
+    order.
 
     Dominance is pruned while cells are filled.  A semistandard row reads
     weakly decreasing in the row word, so when the word reaches a v of
@@ -195,8 +196,30 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     in rows above r.  The cut is exact: counts only grow and the right
     side changes only at a row end, so a violated cut cannot be repaired,
     and a full filling that passed every cut has a dominant word, since
-    inside row r the excess of v over v-1 peaks after its last v.  The
-    stream is the post-filtered stream, in the same order.
+    inside row r the excess of v over v-1 peaks after its last v.
+
+    A weight filter of length L adds per-value budgets (no value beyond
+    w = min(n, L), no more copies of v than the target asks), the
+    leftover total (each remaining cell takes one to n entries), an
+    early exit when the target asks for a value above n, and three
+    capacity cuts, each a necessary condition on every completion:
+
+    1. Column range.  The cells of a skew column are contiguous and
+       strictly increase, so a cell with a cells above it and b below it
+       holds only values in [a+1, w-b].
+    2. Value capacity.  A column holds a value at most once, so the
+       copies of v still needed can be at most the number of distinct
+       columns among the unfilled cells whose range contains v.  It is
+       checked for every child before the search descends: a value
+       whose need exceeds the capacity of the cells after this one must
+       go into this cell.
+    3. Row-wise dominance capacity (with `dominant_for`), at each row
+       start.  Let room[v] be the most v's allowed by the end of the
+       current row.  If `must` copies of v have to land in rows current..k
+       because the rows after k cannot take the rest, then #v at the end
+       of row k is at least counts[v] + must, and its bound there is
+       room[v] plus the (v-1)s placed in rows current..k-1, which is at
+       most min(need of v-1, cells of those rows that can hold v-1).
     """
     n = int(n)
     cells = shape.cells()
@@ -206,7 +229,7 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     target_sum = 0
     if weight_filter is not None:
         target = tuple(int(t) for t in weight_filter)
-        if any(t < 0 for t in target):
+        if any(t < 0 for t in target) or any(target[n:]):
             return
         target_sum = sum(target)
 
@@ -220,13 +243,36 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     index = {cell: i for i, cell in enumerate(cells)}
     left = [index.get((r, c - 1)) for (r, c) in cells]
     up = [index.get((r - 1, c)) for (r, c) in cells]
-    lam = None if dominant_for is None else as_partition(dominant_for)
+    # lam padded with zeros, so room can index it directly
+    lam = None if dominant_for is None else as_partition(dominant_for).parts + (0,) * n
     row_start = [i == 0 or cells[i][0] != cells[i - 1][0] for i in range(ncells)]
+
+    if target is not None:
+        w = min(n, len(target))
+        span, cap, row_of, after, before = _capacity_tables(cells, w)
+        if not all(span) or any(target[v - 1] > cap[0][v] for v in range(1, w + 1)):
+            return
 
     full = (1 << n) - 1
     per_cell = 1 if singleton else n
     masks = [0] * ncells
     counts = [0] * (n + 1)
+
+    def row_cut(pos, room):
+        # cut 3: True when some v cannot fit under its dominance bound
+        k0 = row_of[pos]
+        for v in range(2, w + 1):
+            need = target[v - 1] - counts[v]
+            if not need:
+                continue
+            prev_need = target[v - 2] - counts[v - 1]
+            base = before[k0][v - 1]
+            for k in range(k0, len(after)):
+                must = need - after[k][v]
+                if must > 0 and counts[v] + must > room[v] + min(
+                        prev_need, before[k][v - 1] - base):
+                    return True
+        return False
 
     def fill(pos, total, room):
         # room[v], set at each row start, is the most v's the filling may
@@ -245,35 +291,52 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             lo = max(lo, masks[ui].bit_length() + 1)
         if lo > n:
             return
+        forced = 0
         if target is None:
             allowed = full & ~((1 << (lo - 1)) - 1)
         else:
+            # cut 2 for the child: a value the later cells cannot take
+            # enough copies of is forced into this cell
+            later = cap[pos + 1]
             allowed = 0
-            for v in range(lo, min(n, len(target)) + 1):
-                if counts[v] < target[v - 1]:
+            for v in range(1, w + 1):
+                need = target[v - 1] - counts[v]
+                if need:
                     allowed |= 1 << (v - 1)
+                    if need > later[v]:
+                        forced |= 1 << (v - 1)
+            allowed &= span[pos] & ~((1 << (lo - 1)) - 1)
         if lam is not None:
             if row_start[pos]:
                 room = [0, 0] + [lam[v - 2] + counts[v - 1] - lam[v - 1]
                                  for v in range(2, n + 1)]
+                if target is not None and row_cut(pos, room):
+                    return
             for v in range(max(lo, 2), n + 1):
                 if counts[v] >= room[v]:
                     allowed &= ~(1 << (v - 1))
-        if not allowed:
+        if not allowed or forced & ~allowed:
             return
         remaining = ncells - pos - 1
         if singleton:
-            candidates = [allowed & -allowed]
-            rest = allowed & (allowed - 1)
-            while rest:
-                candidates.append(rest & -rest)
-                rest &= rest - 1
+            if forced:
+                if forced & (forced - 1):
+                    return
+                candidates = [forced]
+            else:
+                candidates = [allowed & -allowed]
+                rest = allowed & (allowed - 1)
+                while rest:
+                    candidates.append(rest & -rest)
+                    rest &= rest - 1
         else:
-            candidates = []
-            m = (-allowed) & allowed
+            # the submasks of allowed that contain forced, increasing
+            free = allowed & ~forced
+            candidates = [forced] if forced else []
+            m = (-free) & free
             while m:
-                candidates.append(m)
-                m = (m - allowed) & allowed
+                candidates.append(m | forced)
+                m = (m - free) & free
         for m in candidates:
             size = bin(m).count("1")
             new_total = total + size
@@ -294,3 +357,52 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             masks[pos] = 0
 
     yield from fill(0, 0, None)
+
+
+def _capacity_tables(cells, w):
+    """Tables of the weight-filtered cuts of `enumerate_svt`, for values 1..w.
+
+    `span[i]` is the bitmask of the values cell i can hold in a strictly
+    increasing column, `cap[i][v]` the number of distinct columns among
+    cells i.. whose span holds v, `row_of[i]` the index of cell i's row
+    among the rows with cells, and `after[k][v]` / `before[k][v]` the
+    number of cells in the rows after / before row k whose span holds v.
+    """
+    height = {}
+    for _, c in cells:
+        height[c] = height.get(c, 0) + 1
+    span = []
+    row_of = []
+    per_row = []
+    placed = {}
+    for i, (r, c) in enumerate(cells):
+        above = placed.get(c, 0)
+        placed[c] = above + 1
+        top = w - (height[c] - 1 - above)
+        span.append(((1 << top) - 1) >> above << above if top > above else 0)
+        if i == 0 or r != cells[i - 1][0]:
+            per_row.append([0] * (w + 1))
+        row_of.append(len(per_row) - 1)
+        counts = per_row[-1]
+        for v in range(above + 1, top + 1):
+            counts[v] += 1
+
+    running = [0] * (w + 1)
+    cap = [tuple(running)]
+    seen = {}
+    for i in range(len(cells) - 1, -1, -1):
+        c = cells[i][1]
+        new = span[i] & ~seen.get(c, 0)
+        seen[c] = seen.get(c, 0) | span[i]
+        while new:
+            running[(new & -new).bit_length()] += 1
+            new &= new - 1
+        cap.append(tuple(running))
+    cap.reverse()
+
+    before = [[0] * (w + 1)]
+    for counts in per_row:
+        before.append([x + y for x, y in zip(before[-1], counts)])
+    total = before.pop()
+    after = [[t - x for t, x in zip(total, b)] for b in before[1:]] + [[0] * (w + 1)]
+    return span, cap, row_of, after, before

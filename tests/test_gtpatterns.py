@@ -231,6 +231,19 @@ def test_trusted_fillings_equal_validated_ones():
                 assert all(type(vals) is frozenset for vals in filling.entries.values())
 
 
+def test_trusted_markings_equal_validated_ones():
+    checked = 0
+    for lam in partitions_up_to(4, max_length=3):
+        for n in range(max(1, len(lam)), 4):
+            for x in enumerate_gt(lam, n):
+                for m in marked_patterns(x):
+                    other = MarkedGTPattern(x, sorted(m.marks))
+                    assert m == other and hash(m) == hash(other)
+                    assert type(m.marks) is frozenset
+                    checked += 1
+    assert checked == 259
+
+
 def test_trusted_fillings_allocate_through_the_class():
     # per-class allocation hooks, such as a construction counter that
     # patches __new__, must see trusted builds too.  A patched __new__

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -146,6 +147,106 @@ def test_dominant_for_matches_post_filtering():
                     compared += 1
                     kept += len(expected)
     assert compared > 10000 and kept > 10000
+
+
+def _trim(t):
+    t = tuple(t)
+    while t and t[-1] == 0:
+        t = t[:-1]
+    return t
+
+
+def _weight_cases(seen, n):
+    # tight weights (each met by some filling), spread over the weights
+    # seen plus two with a zero inside; and the last one again one longer
+    # than n, ending in 0 (same stream) and in 1 (no stream)
+    seen = sorted(seen)
+    tight = seen[::max(1, len(seen) // 3)]
+    tight += [w for w in seen if 0 in w and w not in tight][:2]
+    return tight + [w + (0,) * (n - len(w)) + (last,) for w in tight[-1:] for last in (0, 1)]
+
+
+def _capacity_shapes():
+    # straight, skew and rotated shapes with one to six cells
+    for outer in partitions_up_to(6):
+        if not outer:
+            continue
+        yield skew(outer)
+        yield rotate(outer)
+        for inner in partitions_up_to(2):
+            if inner and len(outer) <= 3 and contains(inner, outer) \
+                    and outer.size() > inner.size():
+                yield skew(outer, inner)
+    yield skew((4, 3, 2), (2, 1))
+    yield skew((3, 3, 2), (1, 1))
+    yield skew((4, 4), (2,))
+
+
+def test_weight_cuts_match_plain_post_filtering():
+    # the weight-filtered, lam-dominant stream is the unfiltered stream
+    # post-filtered by weight and dominance, in the same order; the
+    # reference uses neither weight_filter nor dominant_for, so it runs
+    # none of the capacity cuts
+    lams = list(partitions_up_to(3))
+    compared = kept = 0
+    for shape in _capacity_shapes():
+        cells = shape.num_cells()
+        for n in range(1, 6):
+            runs = [True] + ([False] if n <= 3 or cells * n <= 16 else [])
+            for single in runs:
+                by_weight = {}
+                for f in enumerate_svt(shape, n, singleton=single):
+                    by_weight.setdefault(_trim(weight(f, n)), []).append(f)
+                for w in _weight_cases(by_weight, n):
+                    same = by_weight.get(_trim(w), [])
+                    for lam in lams:
+                        got = list(enumerate_svt(shape, n, weight_filter=w,
+                                                 dominant_for=lam, singleton=single))
+                        expected = [f for f in same if is_lambda_dominant(f, lam)]
+                        assert got == expected, (shape, n, w, lam, single)
+                        compared += 1
+                        kept += len(expected)
+    assert compared > 10000 and kept > 5000
+
+
+def _search_nodes(shape, n, **kwargs):
+    # the stream, and how often the search's node generator runs (a
+    # profile hook sees each entry and each resumption)
+    node, = [c for c in enumerate_svt.__code__.co_consts
+             if getattr(c, "co_name", None) == "fill"]
+    runs = 0
+
+    def count(frame, event, arg):
+        nonlocal runs
+        if event == "call" and frame.f_code is node:
+            runs += 1
+
+    sys.setprofile(count)
+    try:
+        stream = list(enumerate_svt(shape, n, **kwargs))
+    finally:
+        sys.setprofile(None)
+    return stream, runs
+
+
+@pytest.mark.parametrize("shape, n, target, lam, nodes", [
+    # a column of three cells cannot hold values in [1, 2]
+    (skew((1, 1, 1)), 2, (2, 1), None, 0),
+    # three 3s need three columns whose cells can hold 3; there are two
+    (rotate((2, 2, 1)), 4, (1, 2, 3, 0), None, 0),
+    # a 3 asked for with n = 2
+    (skew((2,)), 2, (1, 0, 1), None, 0),
+    # the row-wise dominance capacity refuses at the first row start,
+    # once through the need of v-1 and once through the cells that can
+    # hold v-1
+    (rotate((4, 1)), 4, (2, 3, 1, 0), (2, 1), 1),
+    (skew((3, 2)), 4, (2, 1, 1, 2), (2, 1), 1),
+])
+def test_capacity_cuts_refuse_at_the_root(shape, n, target, lam, nodes):
+    # no completion exists, and the weight cuts see it before the search
+    # descends; a weaker cut would still give the same empty stream
+    stream, runs = _search_nodes(shape, n, weight_filter=target, dominant_for=lam)
+    assert stream == [] and runs == nodes
 
 
 def test_weight_total_equals_entry_count():
