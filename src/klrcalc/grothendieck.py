@@ -381,7 +381,21 @@ def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
 
 
 def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
-    """G_lam * G_mu, terms to degree `cap`, peeled onto the G basis."""
+    """G_lam * G_mu, terms to degree `cap`, peeled onto the G basis.
+
+    The product commutes, so results are cached by the unordered pair
+    {lam, mu} with n and cap: G_mu * G_lam is the same object.  The
+    expansion is shared between callers, so callers must not mutate its
+    `coeffs`.
+    """
+    first, second = sorted((as_partition(lam).parts, as_partition(mu).parts))
+    return _expand_product(first, second, int(n), int(cap))
+
+
+# a verify sweep asks for each unordered pair once per (n, cap); the
+# bound caps long-lived sessions, as _g_poly's does
+@lru_cache(maxsize=1024)
+def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
     product = multiply(grothendieck_poly(lam, (), n, cap),
                        grothendieck_poly(mu, (), n, cap), cap)
     return expand_in_g_basis(product, cap)

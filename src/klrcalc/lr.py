@@ -290,12 +290,23 @@ def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> G
 
     Builds the cumulative triangle of the recovered pattern, takes its
     south-east differences, then applies one column decrement per mark,
-    in the mark order, to land on the straight side's pattern.
+    in the mark order, to land on the straight side's pattern.  Raises
+    DomainError when the input is not a witness, and
+    InternalInvariantError when the output is not one or `gamma` does not
+    carry it back to the input.
     """
-    q = query
-    n = q.n
-    _require_witness(contratableau, q, "input", DomainError, straight=False)
+    _require_witness(contratableau, query, "input", DomainError, straight=False)
+    trace = _gamma_inverse(contratableau, query)
+    _require_witness(trace.tableau, query, "output", InternalInvariantError, straight=True)
+    if _gamma(trace.tableau, query).contratableau != contratableau:
+        raise InternalInvariantError("round trip through gamma does not return the input")
+    return trace
 
+
+def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> GammaTrace:
+    """`gamma_inverse` without its input, output and round-trip checks, for
+    a contratableau known to be a witness; the pattern checks stay."""
+    n = q.n
     marked = omega_inverse(contratableau, n)
     z = marked.pattern
 
@@ -328,13 +339,8 @@ def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> G
         raise InternalInvariantError(
             f"decremented pattern invalid: bottom row {bottom} != {q.mu}")
 
-    tableau = upsilon(straight)
-    _require_witness(tableau, q, "output", InternalInvariantError, straight=True)
-    if _gamma(tableau, q).contratableau != contratableau:
-        raise InternalInvariantError("round trip through gamma does not return the input")
-
     return GammaTrace(
-        direction="gamma_inverse", query=q, tableau=tableau,
+        direction="gamma_inverse", query=q, tableau=upsilon(straight),
         tableau_pattern=straight.pattern, tableau_marks=straight.marks,
         contra_pattern=z, contra_marks=marked.marks,
         contratableau=contratableau,

@@ -8,6 +8,8 @@ about everywhere else in the package.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ContainmentError
 
 
@@ -172,8 +174,16 @@ def is_horizontal_strip(outer, inner) -> bool:
 
 
 def rotate(lam) -> RotatedShape:
-    """The rotated diagram of lam in its canonical skew embedding."""
-    return RotatedShape(lam)
+    """The rotated diagram of lam in its canonical skew embedding.
+
+    Shapes are immutable, so every caller with the same parts shares one.
+    """
+    return _rotated(as_partition(lam).parts)
+
+
+@lru_cache(maxsize=1024)
+def _rotated(parts: tuple) -> RotatedShape:
+    return RotatedShape(parts)
 
 
 def rotated_skew(lam, mu) -> SkewShape:

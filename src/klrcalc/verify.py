@@ -81,10 +81,19 @@ def check_rules(lam, mu, n: int) -> str:
     """All three coefficient routes agree for every nu up to the cap,
     zeros included, and the witness bijection round trips.
 
-    The cap is |lam| + |mu| + 3.  The witnesses come from one search per
-    side for the whole instance (`lr.witness_lists`), not one per nu; a
-    nu with no witness on either side still has its zero counts checked
-    against the oracle."""
+    The cap is |lam| + |mu| + 3, symmetric in lam and mu, so the product
+    comes from the shared `grothendieck.expand_product` cache.  The
+    witnesses come from one search per side for the whole instance
+    (`lr.witness_lists`), not one per nu; a nu with no witness on either
+    side still has its zero counts checked against the oracle.
+
+    Per witness t with image s, `lr.gamma(t)` checks that t is a
+    straight-side witness and s a rotated-side one; the images must be
+    distinct and exactly the rotated-side witnesses; and the inverse
+    core `lr._gamma_inverse(s)` must give back t' == t.  That covers the
+    checks the public `gamma_inverse` would add: its input check is
+    gamma's image check, and once t' == t its output check is gamma's
+    input check and its round trip is gamma's own image of t."""
     lam = Partition(lam)
     mu = Partition(mu)
     cap = lam.size() + mu.size() + 3
@@ -112,7 +121,7 @@ def check_rules(lam, mu, n: int) -> str:
             if set(images) != set(contras):
                 return f"gamma not onto at {instance}"
             for t, s in zip(witnesses, images):
-                if lr.gamma_inverse(s, query).tableau != t:
+                if lr._gamma_inverse(s, query).tableau != t:
                     return f"gamma round trip failed at {instance}"
     return ""
 

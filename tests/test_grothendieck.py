@@ -147,6 +147,36 @@ def test_multiply_matches_reference_on_random_polynomials():
     assert cancelled >= 50  # sums that cancel to 0 are in the sample
 
 
+def test_multiply_commutes_on_random_polynomials():
+    # the pairs and caps of the test above; the verify sweep multiplies
+    # each unordered pair in one order only
+    rng = random.Random(20021)
+    for n in range(6):
+        for _ in range(60):
+            a, b = _random_poly(rng, n), _random_poly(rng, n)
+            degrees = [da + db for da in map(sum, a.terms) for db in map(sum, b.terms)]
+            low, high = min(degrees, default=0), max(degrees, default=0)
+            caps = {None, (low + high) // 2, high + 1}
+            if low > 0:
+                caps.add(low - 1)
+            for cap in caps:
+                ab, ba = multiply(a, b, cap), multiply(b, a, cap)
+                assert ab.terms == ba.terms, (a.terms, b.terms, cap)
+                assert ab.cap == ba.cap
+
+
+def test_expand_product_is_the_same_in_both_orders():
+    lams = list(partitions_up_to(3, max_length=3))
+    for lam in lams:
+        for mu in lams:
+            cap = lam.size() + mu.size() + 3
+            grothendieck._expand_product.cache_clear()
+            forward = grothendieck.expand_product(lam, mu, 3, cap)
+            grothendieck._expand_product.cache_clear()
+            backward = grothendieck.expand_product(mu, lam, 3, cap)
+            assert forward.coeffs == backward.coeffs, (lam, mu)
+
+
 def test_multiply_matches_reference_on_verify_products(monkeypatch):
     products = []
     real = grothendieck.multiply
@@ -156,8 +186,11 @@ def test_multiply_matches_reference_on_verify_products(monkeypatch):
         return real(a, b, cap)
 
     monkeypatch.setattr(grothendieck, "multiply", recording)
+    grothendieck._expand_product.cache_clear()  # so every product is made here
     assert all(r.ok for r in verify.run_verify(3, 3, jobs=1))
-    assert len(products) == 49  # one per rule instance of verify 3/3
+    factors = len(list(partitions_up_to(3, max_length=3)))
+    # one per unordered pair {lam, mu} of verify 3/3: the cap is symmetric
+    assert len(products) == factors * (factors + 1) // 2
     for a, b, cap in products:
         _assert_multiply_matches_reference(a, b, cap)
 
@@ -213,6 +246,7 @@ def test_expand_g_basis_residual_message(monkeypatch):
         return g
 
     monkeypatch.setattr(grothendieck, "grothendieck_poly", lossy)
+    grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
     with pytest.raises(ResidualNonzero) as info:
         grothendieck.expand_product((1,), (1,), 2, 4)
     assert str(info.value) == "degree 3 did not clear; lowest monomial (1, 2)"

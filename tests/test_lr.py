@@ -8,7 +8,7 @@ from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
                      gamma_inverse, is_lambda_dominant, partitions_up_to,
                      rotate, skew, total_entries, upsilon_inverse, weight,
                      witness_lists)
-from klrcalc import lr
+from klrcalc import lr, verify
 
 
 def final_query():
@@ -121,6 +121,17 @@ def test_gamma_inverse_closes_its_round_trip(monkeypatch):
         gamma_inverse(wx.s1(), q)
     with pytest.raises(DomainError):
         gamma(wx.s1(), q)  # not a straight-shape witness
+
+
+def test_check_rules_sees_a_broken_gamma_inverse(monkeypatch):
+    # the sweep calls the inverse core, past the public checks; a core
+    # that sends s1 back to t2 must still fail its round trip
+    real = lr._gamma_inverse
+    swap = {wx.s1(): wx.s2(), wx.s2(): wx.s1()}
+    monkeypatch.setattr(lr, "_gamma_inverse",
+                        lambda s, query: real(swap.get(s, s), query))
+    assert verify.check_rules(wx.FINAL_LAM, wx.FINAL_MU, 4) == (
+        f"gamma round trip failed at {(wx.FINAL_LAM, wx.FINAL_MU, wx.FINAL_NU)}")
 
 
 def test_column_ops_commute():
