@@ -68,6 +68,44 @@ def test_gamma_counter_table():
         row = trace.prefix_counts[i - 1]
         assert row[0] == q.lam[i - 1]
         assert row[i] == q.nu[i - 1]
+    assert trace.prefix_counts == ((3, 4), (2, 3, 4), (1, 2, 3, 3), (0, 1, 2, 2, 2))
+
+
+def test_gamma_inverse_counter_table():
+    # row i: mu_i plus the copies of i in bottom rows k and above, k = 1..n+1-i
+    trace = gamma_inverse(wx.s1(), final_query())
+    assert trace.suffix_counts == ((4, 4, 3, 3), (4, 3, 2), (3, 2), (2,))
+
+
+def _row_counts(filling, value):
+    """Copies of `value` in each row of `filling`, top row first."""
+    return [sum(value in vals for vals in row) for row in filling.rows()]
+
+
+def test_count_tables_match_row_recount():
+    # N: row i is lam_i, then lam_i plus the copies of i in the top k rows;
+    # N_up: row i is mu_i plus the copies of i in bottom rows k and above
+    witnesses = 0
+    for n in range(1, 5):
+        for lam in partitions_up_to(3, max_length=n):
+            for mu in partitions_up_to(3, max_length=n):
+                for t in enumerate_svt(skew(mu), n, dominant_for=lam):
+                    nu = tuple(a + b for a, b in zip(lam.pad(n), weight(t, n)))
+                    q = CoefficientQuery(lam, mu, nu, n)
+                    forward = gamma(t, q)
+                    back = gamma_inverse(forward.contratableau, q)
+                    prefix, suffix = [], []
+                    for i in range(1, n + 1):
+                        top = _row_counts(t, i) + [0] * n
+                        prefix.append(tuple(lam[i - 1] + sum(top[:k])
+                                            for k in range(i + 1)))
+                        bottom = _row_counts(back.contratableau, i)[::-1]
+                        suffix.append(tuple(mu[i - 1] + sum(bottom[k - 1:])
+                                            for k in range(1, n + 2 - i)))
+                    assert forward.prefix_counts == tuple(prefix), (q, t)
+                    assert back.suffix_counts == tuple(suffix), (q, t)
+                    witnesses += 1
+    assert witnesses == 468
 
 
 def test_gamma_inverse_trace_matches_hand_computation():
