@@ -16,9 +16,8 @@ from .gtpatterns import (GTPattern, MarkedGTPattern, enumerate_gt,
 from .lr import (CoefficientQuery, GammaTrace, buch_tableaux, coeff_buch,
                  coeff_classical, coeff_contra, coeff_oracle, contra_tableaux,
                  gamma, gamma_inverse, witness_lists)
-from .shapes import (Partition, RotatedShape, SkewShape, contains,
-                     is_horizontal_strip, partitions, partitions_up_to,
-                     rotate, rotated_skew, skew)
+from .shapes import (Partition, RotatedShape, SkewShape, contains, partitions,
+                     partitions_up_to, rotate, skew)
 from .tableaux import (SetValuedFilling, column_word, enumerate_svt,
                        is_dominant, is_lambda_dominant, is_semistandard,
                        row_word, superstandard, total_entries, weight)

@@ -96,23 +96,17 @@ def _read_input(path: str):
 
 def _cmd_coeff(args) -> int:
     query = lr.CoefficientQuery(args.lam, args.mu, args.nu, args.n)
-    if args.rule == "buch":
-        print(lr.coeff_buch(query))
-        return EXIT_OK
-    if args.rule == "contra":
-        print(lr.coeff_contra(query))
-        return EXIT_OK
-    if args.rule == "oracle":
+    table = {"buch": lr.coeff_buch, "contra": lr.coeff_contra, "oracle": lr.coeff_oracle}
+    rules = tuple(table) if args.rule == "all" else (args.rule,)
+    if "oracle" in rules:
         _max_cap_guard(max(query.nu.size(), query.lam.size() + query.mu.size()))
-        print(lr.coeff_oracle(query))
+    values = [table[rule](query) for rule in rules]
+    if args.rule != "all":
+        print(values[0])
         return EXIT_OK
-    _max_cap_guard(max(query.nu.size(), query.lam.size() + query.mu.size()))
-    buch = lr.coeff_buch(query)
-    contra = lr.coeff_contra(query)
-    oracle = lr.coeff_oracle(query)
-    agree = buch == contra == oracle
-    print(f"buch={buch} contra={contra} oracle={oracle} "
-          f"{'AGREE' if agree else 'DISAGREE'}")
+    agree = len(set(values)) == 1
+    print(" ".join(f"{rule}={value}" for rule, value in zip(rules, values))
+          + (" AGREE" if agree else " DISAGREE"))
     return EXIT_OK if agree else EXIT_DISAGREE
 
 

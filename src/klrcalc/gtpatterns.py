@@ -311,21 +311,10 @@ def _rotated_source(shape) -> Partition:
     """The partition whose rotated embedding equals `shape`."""
     if isinstance(shape, RotatedShape):
         return shape.lam
-    height = shape.num_rows
-    if height == 0:
-        return Partition(())
-    width = shape.outer[0]
-    if any(p != width for p in shape.outer):
-        raise NotRotatedShape(f"outer {shape.outer} is not a full rectangle width")
-    lengths = tuple(shape.outer[height - j] - shape.inner[height - j]
-                    for j in range(1, height + 1))
-    try:
-        lam = Partition(lengths)
-    except ValueError as exc:
-        raise NotRotatedShape(f"row lengths {lengths} not a partition") from exc
-    if len(lam) != height or lam[0] != width:
-        raise NotRotatedShape(f"{shape!r} is not right justified")
-    return lam
+    lengths = [len(shape.row_cols(r)) for r in range(shape.num_rows, 0, -1)]
+    if lengths != sorted(lengths, reverse=True) or rotate(lengths) != shape:
+        raise NotRotatedShape(f"{shape!r} is not a rotated diagram")
+    return rotate(lengths).lam
 
 
 def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:

@@ -11,6 +11,7 @@ intermediate object so a run can be checked line by line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import grothendieck
 from .errors import DegreeError, DomainError, InternalInvariantError
@@ -47,22 +48,26 @@ class CoefficientQuery:
             raise DomainError(f"n={self.n} smaller than a partition length")
 
 
-def _weight_target(nu: Partition, sub: Partition):
-    """nu minus sub componentwise, or None when any entry is negative."""
-    length = max(len(nu), len(sub))
-    diff = tuple(nu[i] - sub[i] for i in range(length))
-    if any(d < 0 for d in diff):
-        return None
-    return diff
+def _side(q: CoefficientQuery, straight: bool):
+    """(sub, shape, target) of one witness family, the sub-dominant fillings
+    of shape with weight nu - sub: straight, lam and mu; rotated, mu and
+    rotated lam.  target is nu - sub, or None when an entry is negative."""
+    sub, shape = (q.lam, skew(q.mu, ())) if straight else (q.mu, rotate(q.lam))
+    target = tuple(q.nu[i] - sub[i] for i in range(max(len(q.nu), len(sub))))
+    return sub, shape, None if any(d < 0 for d in target) else target
+
+
+def _witnesses(q: CoefficientQuery, straight: bool, singleton=False):
+    """Yield the family `_side` describes, as `enumerate_svt` orders it."""
+    sub, shape, target = _side(q, straight)
+    if target is not None:
+        yield from enumerate_svt(shape, max(1, len(target)), weight_filter=target,
+                                 singleton=singleton, dominant_for=sub)
 
 
 def buch_tableaux(query: CoefficientQuery):
     """Yield the lam-dominant fillings of straight shape mu with weight nu-lam."""
-    target = _weight_target(query.nu, query.lam)
-    if target is None:
-        return
-    yield from enumerate_svt(skew(query.mu, ()), max(1, len(target)),
-                             weight_filter=target, dominant_for=query.lam)
+    yield from _witnesses(query, straight=True)
 
 
 def coeff_buch(query: CoefficientQuery) -> int:
@@ -72,12 +77,7 @@ def coeff_buch(query: CoefficientQuery) -> int:
 
 def contra_tableaux(query: CoefficientQuery, singleton=False):
     """Yield the mu-dominant fillings of the rotated lam shape with weight nu-mu."""
-    target = _weight_target(query.nu, query.mu)
-    if target is None:
-        return
-    yield from enumerate_svt(rotate(query.lam), max(1, len(target)),
-                             weight_filter=target, singleton=singleton,
-                             dominant_for=query.mu)
+    yield from _witnesses(query, straight=False, singleton=singleton)
 
 
 def coeff_contra(query: CoefficientQuery) -> int:
@@ -173,53 +173,19 @@ class GammaTrace:
     column_ops: tuple = None
 
 
-def _row_value_counts(filling: SetValuedFilling) -> list:
-    """counts[j][v] = occurrences of v in row j+1 (top indexed)."""
-    out = []
-    for row in filling.rows():
-        counts = {}
-        for vals in row:
-            for v in vals:
-                counts[v] = counts.get(v, 0) + 1
-        out.append(counts)
-    return out
-
-
-def _prefix_counts(tableau: SetValuedFilling, lam: Partition, n: int) -> tuple:
-    """Row i lists lam_i plus the running count of i over the top k rows."""
-    per_row = _row_value_counts(tableau)
-    table = []
-    for i in range(1, n + 1):
-        acc = [lam[i - 1]]
-        for k in range(1, i + 1):
-            extra = per_row[k - 1].get(i, 0) if k - 1 < len(per_row) else 0
-            acc.append(acc[-1] + extra)
-        table.append(tuple(acc))
-    return tuple(table)
-
-
-def _suffix_counts(contratableau: SetValuedFilling, mu: Partition, n: int) -> tuple:
-    """Row i lists mu_i plus the count of i over bottom rows k and above."""
-    per_row_top = _row_value_counts(contratableau)
-    height = len(per_row_top)
-    # re-index so position j-1 is bottom-row j
-    per_row = list(reversed(per_row_top))
-    table = []
-    for i in range(1, n + 1):
-        row = []
-        for k in range(1, n + 2 - i):
-            tail = sum(per_row[j].get(i, 0) for j in range(k - 1, height))
-            row.append(mu[i - 1] + tail)
-        table.append(tuple(row))
-    return tuple(table)
+def _copies(marked: MarkedGTPattern, i: int, j: int) -> int:
+    """Copies of pass label i in pattern row j of the filling `marked`
+    expands to: the cells pass i adds to row j, plus one for a mark (i, j)."""
+    rows = marked.pattern.rows
+    before = rows[i - 2][j - 1] if j < i else 0
+    return rows[i - 1][j - 1] - before + ((i, j) in marked.marks)
 
 
 def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight: bool):
     """Raise `error` unless `filling` is a witness of `q`: on the straight
     side a lam-dominant filling of shape mu with weight nu - lam, on the
     rotated side a mu-dominant filling of rotated lam with weight nu - mu."""
-    sub, shape = (q.lam, skew(q.mu, ())) if straight else (q.mu, rotate(q.lam))
-    target = _weight_target(q.nu, sub)
+    sub, shape, target = _side(q, straight)
     if target is None:
         raise error(f"nu - {'lam' if straight else 'mu'} has a negative entry")
     if filling.shape != shape:
@@ -263,7 +229,11 @@ def _gamma(tableau: SetValuedFilling, q: CoefficientQuery) -> GammaTrace:
     """`gamma` past its input check, for a tableau known to be a witness."""
     n = q.n
     marked = upsilon_inverse(tableau, n)
-    counts = _prefix_counts(tableau, q.lam, n)
+    # row i: lam_i, then plus the copies of i in the top k rows, k = 1..i
+    counts = tuple(
+        tuple(accumulate((_copies(marked, i, k) for k in range(1, i + 1)),
+                         initial=q.lam[i - 1]))
+        for i in range(1, n + 1))
     y_rows = tuple(
         tuple(counts[n - i + j - 1][n - i] for j in range(1, i + 1))
         for i in range(1, n + 1))
@@ -310,14 +280,10 @@ def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> Gamm
     marked = omega_inverse(contratableau, n)
     z = marked.pattern
 
-    cumulative = []
-    for i in range(n + 1):
-        base = sum(q.nu[t] for t in range(n - i))
-        row = [base]
-        for j in range(1, i + 1):
-            row.append(row[-1] + z.x(i, j))
-        cumulative.append(tuple(row))
-    cumulative = tuple(cumulative)
+    # row i: nu_1 + ... + nu_{n-i}, then plus each entry of row i of z
+    cumulative = tuple(
+        tuple(accumulate(z.rows[i - 1] if i else (), initial=sum(q.nu[:n - i])))
+        for i in range(n + 1))
 
     slack = tuple(
         tuple(cumulative[n - j][i - j] - cumulative[n - j + 1][i - j + 1]
@@ -331,18 +297,24 @@ def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> Gamm
         for a in range(k, n + 1):
             grid[a - 1][col - 1] -= 1
 
-    straight = _marked_pattern(tuple(tuple(row) for row in grid),
-                               ((n + 1 - i + j, n + 1 - i) for (i, j) in marked.marks),
-                               "decremented")
+    # each column operation's position is a mark of the straight pattern
+    straight = _marked_pattern(tuple(tuple(row) for row in grid), ops, "decremented")
     bottom = straight.pattern.rows[-1] if n else ()
     if Partition(bottom) != q.mu:
         raise InternalInvariantError(
             f"decremented pattern invalid: bottom row {bottom} != {q.mu}")
+
+    # row i: mu_i plus the copies of i, pass label n+1-i, in bottom rows
+    # k..n+1-i for k = 1..n+1-i; summed from row n+1-i down, then reversed
+    suffix = tuple(
+        tuple(accumulate((_copies(marked, n + 1 - i, k) for k in range(n + 1 - i, 0, -1)),
+                         initial=q.mu[i - 1]))[:0:-1]
+        for i in range(1, n + 1))
 
     return GammaTrace(
         direction="gamma_inverse", query=q, tableau=upsilon(straight),
         tableau_pattern=straight.pattern, tableau_marks=straight.marks,
         contra_pattern=z, contra_marks=marked.marks,
         contratableau=contratableau,
-        suffix_counts=_suffix_counts(contratableau, q.mu, n),
+        suffix_counts=suffix,
         cumulative_rows=cumulative, slack_rows=slack, column_ops=ops)

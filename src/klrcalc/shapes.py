@@ -1,9 +1,8 @@
 """Partitions, skew Young diagrams, and 180-degree rotated shapes.
 
 Cells are addressed as (row, col) pairs, 1-based, rows counted from the
-top, matching English-notation diagrams.  Rotated shapes additionally
-expose row indexing from the bottom, which is how their rows are spoken
-about everywhere else in the package.
+top, matching English-notation diagrams.  The rest of the package speaks
+of the rows of a rotated shape from the bottom.
 """
 
 from __future__ import annotations
@@ -148,13 +147,6 @@ class RotatedShape(SkewShape):
         super().__init__(outer, inner)
         self.lam = lam
 
-    def top_row(self, bottom_row: int) -> int:
-        """Top-indexed row number of the given row from the bottom."""
-        return len(self.lam) + 1 - bottom_row
-
-    def bottom_row(self, top_row: int) -> int:
-        return len(self.lam) + 1 - top_row
-
     def __repr__(self):
         return f"RotatedShape({self.lam.parts})"
 
@@ -162,15 +154,6 @@ class RotatedShape(SkewShape):
 def skew(outer, inner=()) -> SkewShape:
     """The skew diagram outer/inner."""
     return SkewShape(outer, inner)
-
-
-def is_horizontal_strip(outer, inner) -> bool:
-    """True when inner fits in outer and no column holds two cells."""
-    outer = as_partition(outer)
-    inner = as_partition(inner)
-    if not contains(inner, outer):
-        return False
-    return all(inner[i] >= outer[i + 1] for i in range(len(outer)))
 
 
 def rotate(lam) -> RotatedShape:
@@ -184,20 +167,6 @@ def rotate(lam) -> RotatedShape:
 @lru_cache(maxsize=1024)
 def _rotated(parts: tuple) -> RotatedShape:
     return RotatedShape(parts)
-
-
-def rotated_skew(lam, mu) -> SkewShape:
-    """Difference of two rotated diagrams, bottom-right aligned in the
-    bounding box of the outer one."""
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if not contains(mu, lam):
-        raise ContainmentError(f"{mu} is not contained in {lam}")
-    height = len(lam)
-    width = lam[0]
-    outer = tuple(width - mu[height - r] for r in range(1, height + 1))
-    inner = tuple(width - lam[height - r] for r in range(1, height + 1))
-    return SkewShape(outer, inner)
 
 
 def partitions(total, max_length=None, max_part=None):

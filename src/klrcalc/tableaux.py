@@ -249,7 +249,7 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
 
     if target is not None:
         w = min(n, len(target))
-        span, cap, row_of, after, before = _capacity_tables(cells, w)
+        span, cap, row_of, upto = _capacity_tables(cells, w)
         if not all(span) or any(target[v - 1] > cap[0][v] for v in range(1, w + 1)):
             return
 
@@ -266,11 +266,12 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             if not need:
                 continue
             prev_need = target[v - 2] - counts[v - 1]
-            base = before[k0][v - 1]
-            for k in range(k0, len(after)):
-                must = need - after[k][v]
+            base = upto[k0][v - 1]
+            short = need - upto[-1][v]
+            for k in range(k0, len(upto) - 1):
+                must = short + upto[k + 1][v]  # need minus the cells after row k
                 if must > 0 and counts[v] + must > room[v] + min(
-                        prev_need, before[k][v - 1] - base):
+                        prev_need, upto[k][v - 1] - base):
                     return True
         return False
 
@@ -319,16 +320,9 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             return
         remaining = ncells - pos - 1
         if singleton:
-            if forced:
-                if forced & (forced - 1):
-                    return
-                candidates = [forced]
-            else:
-                candidates = [allowed & -allowed]
-                rest = allowed & (allowed - 1)
-                while rest:
-                    candidates.append(rest & -rest)
-                    rest &= rest - 1
+            # the single bits of allowed; only forced itself when it is set
+            candidates = [1 << v for v in range(n)
+                          if allowed >> v & 1 and forced in (0, 1 << v)]
         else:
             # the submasks of allowed that contain forced, increasing
             free = allowed & ~forced
@@ -365,15 +359,15 @@ def _capacity_tables(cells, w):
     `span[i]` is the bitmask of the values cell i can hold in a strictly
     increasing column, `cap[i][v]` the number of distinct columns among
     cells i.. whose span holds v, `row_of[i]` the index of cell i's row
-    among the rows with cells, and `after[k][v]` / `before[k][v]` the
-    number of cells in the rows after / before row k whose span holds v.
+    among the rows with cells, and `upto[k][v]` the number of cells in the
+    rows before row k whose span holds v (k = 0 .. the number of rows).
     """
     height = {}
     for _, c in cells:
         height[c] = height.get(c, 0) + 1
     span = []
     row_of = []
-    per_row = []
+    upto = [[0] * (w + 1)]
     placed = {}
     for i, (r, c) in enumerate(cells):
         above = placed.get(c, 0)
@@ -381,9 +375,9 @@ def _capacity_tables(cells, w):
         top = w - (height[c] - 1 - above)
         span.append(((1 << top) - 1) >> above << above if top > above else 0)
         if i == 0 or r != cells[i - 1][0]:
-            per_row.append([0] * (w + 1))
-        row_of.append(len(per_row) - 1)
-        counts = per_row[-1]
+            upto.append(list(upto[-1]))  # counts this row on top of those before
+        row_of.append(len(upto) - 2)
+        counts = upto[-1]
         for v in range(above + 1, top + 1):
             counts[v] += 1
 
@@ -399,10 +393,4 @@ def _capacity_tables(cells, w):
             new &= new - 1
         cap.append(tuple(running))
     cap.reverse()
-
-    before = [[0] * (w + 1)]
-    for counts in per_row:
-        before.append([x + y for x, y in zip(before[-1], counts)])
-    total = before.pop()
-    after = [[t - x for t, x in zip(total, b)] for b in before[1:]] + [[0] * (w + 1)]
-    return span, cap, row_of, after, before
+    return span, cap, row_of, upto

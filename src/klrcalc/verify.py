@@ -173,7 +173,9 @@ def _run_sweep(name, instances, check_name, jobs) -> SweepResult:
 
     An instance is its partitions followed by n; shrinking keeps n.
     Workers get the check's name, not the function, so a replaced check
-    need not be picklable.
+    need not be picklable.  Shrinking reads one memo of details per
+    sweep, so failures that shrink through the same instances check each
+    of them once.
     """
     check = globals()[check_name]
     if jobs is not None and jobs > 1 and len(instances) > 1:
@@ -182,11 +184,18 @@ def _run_sweep(name, instances, check_name, jobs) -> SweepResult:
                                     *zip(*instances), chunksize=4))
     else:
         details = [check(*args) for args in instances]
+    memo = dict(zip(instances, details))
+
+    def detail_of(instance):
+        if instance not in memo:
+            memo[instance] = check(*instance)
+        return memo[instance]
+
     result = SweepResult(name, len(details))
     for (*parts, m), detail in zip(instances, details):
         if detail:
-            minimal = shrink_instance(tuple(parts), lambda inst: bool(check(*inst, m)))
-            result.failures.append((minimal + (m,), check(*minimal, m) or detail))
+            minimal = shrink_instance(tuple(parts), lambda inst: bool(detail_of(inst + (m,))))
+            result.failures.append((minimal + (m,), detail_of(minimal + (m,)) or detail))
     return result
 
 

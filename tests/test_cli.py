@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -142,6 +143,20 @@ def test_bijection_domain_error_exit_code(capsys, tmp_path):
     assert out == "" and "domain" in err.lower()
 
 
+@pytest.mark.parametrize("outer, inner", [((3, 2), (1,)), ((3, 3, 1), (1,)),
+                                          ((3, 3), (1, 1))])
+def test_bijection_omega_inv_rejects_non_rotated_shapes(capsys, tmp_path, outer, inner):
+    # an untagged skew filling whose cells do not form a rotated diagram
+    rows = [[[1]] * (o - i) for o, i in zip(outer, inner + (0,) * len(outer))]
+    path = tmp_path / "filling.json"
+    path.write_text(json.dumps({"outer": outer, "inner": inner, "rows": rows}))
+    code, out, err = run(capsys, "bijection", "--direction", "omega-inv",
+                         "--input", str(path), "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("domain error: ")
+
+
 @pytest.mark.parametrize("direction", ["upsilon", "omega"])
 @pytest.mark.parametrize("text", ['{"rows":[[1],[1,-1]],"marks":[[2,1]]}',
                                   '{"rows":[[0],[0,-1]],"marks":[[2,1]]}'],
@@ -273,6 +288,23 @@ def test_verify_workers_run_a_replaced_check(monkeypatch):
     bijections, rules = verify.run_verify(1, 2, jobs=2)
     assert bijections.ok and rules.checked == 4
     assert rules.failures == [(((1,), (1,), 2), "boom")]
+
+
+def test_verify_shrinks_through_each_instance_once(monkeypatch, capsys):
+    # a check that fails everywhere: all 49 failures shrink to ((), (), 3)
+    # and print as before, but no instance is checked twice
+    calls = Counter()
+
+    def failing(lam, mu, n):
+        calls[(lam, mu, n)] += 1
+        return "boom"
+
+    monkeypatch.setattr(verify, "check_rules", failing)
+    code, out, _ = run(capsys, "verify", "--max-size", "3", "--n", "3", "--jobs", "1")
+    assert code == 2
+    assert "rule-agreement: 49 instances, 49 FAILED" in out
+    assert out.count("  minimal counterexample ((), (), 3): boom\n") == 49
+    assert len(calls) == 49 and max(calls.values()) == 1
 
 
 def test_word_malformed_json_exit_code(capsys, tmp_path):

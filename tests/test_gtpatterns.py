@@ -119,6 +119,21 @@ def test_omega_inverse_accepts_untagged_rotated_embedding():
         rotate((2, 1)), [[{1}], [{1}, {2}]])
 
 
+# untagged skew shapes that are not rotated diagrams
+NOT_ROTATED = [((3, 2), (1,)),     # ragged outer: the bottom row stops short
+               ((3, 3, 1), (1,)),  # row lengths 1, 3, 2 from the bottom
+               ((3, 3), (1, 1)),   # no row reaches column 1
+               ((3, 3), (3, 1))]   # an empty top row
+
+
+@pytest.mark.parametrize("outer, inner", NOT_ROTATED)
+def test_omega_inverse_rejects_untagged_non_rotated_shapes(outer, inner):
+    shape = skew(outer, inner)
+    f = SetValuedFilling(shape, {cell: {1} for cell in shape.cells()})
+    with pytest.raises(NotRotatedShape, match=r"is not a rotated diagram$"):
+        omega_inverse(f, 3)
+
+
 def test_weight_reversal_example():
     m = wx.omega_marked()
     assert weight(upsilon(m), 4) == (2, 3, 3, 4)

@@ -1,8 +1,7 @@
 import pytest
 
-from klrcalc import (ContainmentError, Partition, contains,
-                     is_horizontal_strip, partitions, partitions_up_to,
-                     rotate, rotated_skew, skew)
+from klrcalc import (ContainmentError, Partition, contains, partitions,
+                     partitions_up_to, rotate, skew)
 
 
 def test_partition_normalization():
@@ -56,26 +55,6 @@ def test_skew_rejects_noncontained():
         skew((2, 1), (3,))
 
 
-def test_horizontal_strip_examples():
-    assert is_horizontal_strip((3, 1), (2,))
-    assert not is_horizontal_strip((2, 2), (1,))
-    assert is_horizontal_strip((3, 2), (3, 2))
-    assert not is_horizontal_strip((2,), (3,))  # containment fails
-
-
-def test_horizontal_strip_matches_column_scan():
-    universe = list(partitions_up_to(8))
-    for outer in universe:
-        for inner in universe:
-            if not contains(inner, outer):
-                continue
-            cols = {}
-            for (r, c) in skew(outer, inner).cells():
-                cols[c] = cols.get(c, 0) + 1
-            expected = all(v <= 1 for v in cols.values())
-            assert is_horizontal_strip(outer, inner) == expected
-
-
 def test_rotate_embedding():
     shape = rotate((3, 2, 1))
     assert shape.outer == Partition((3, 3, 3))
@@ -83,7 +62,6 @@ def test_rotate_embedding():
     # top row holds 1 right-justified cell, then 2, then 3
     assert set(shape.cells()) == {(1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)}
     assert rotate(()).cells() == []
-    assert shape.top_row(1) == 3 and shape.bottom_row(3) == 1
 
 
 def test_rotate_is_an_involution_on_cells():
@@ -95,18 +73,6 @@ def test_rotate_is_an_involution_on_cells():
         back = {(height + 1 - r, width + 1 - c) for (r, c) in shape.cells()}
         assert back == set(skew(lam).cells())
         assert shape.num_cells() == lam.size()
-
-
-def test_rotated_skew_matches_figure():
-    shape = rotated_skew((4, 3, 1), (2, 1))
-    assert set(shape.cells()) == {(1, 4), (2, 2), (2, 3), (3, 1), (3, 2)}
-    assert rotated_skew((3, 2), (3, 2)).num_cells() == 0
-    assert rotated_skew((4, 2, 1), ()) == rotate((4, 2, 1))
-
-
-def test_rotated_skew_requires_containment():
-    with pytest.raises(ContainmentError):
-        rotated_skew((2, 1), (3,))
 
 
 def test_partitions_generator():
