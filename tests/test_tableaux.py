@@ -249,6 +249,20 @@ def test_capacity_cuts_refuse_at_the_root(shape, n, target, lam, nodes):
     assert stream == [] and runs == nodes
 
 
+@pytest.mark.parametrize("shape, n, kwargs, nodes, count", [
+    (skew((2, 1)), 2, dict(weight_filter=(2, 1), singleton=True), 8, 1),
+    (skew((2, 2)), 3,
+     dict(weight_filter=(2, 1, 1), dominant_for=(1,), singleton=True), 3, 0),
+    # unweighted: a column of three cells with n = 3 reads 1, 2, 3 down
+    (skew((2, 1, 1)), 3, {}, 94, 7),
+])
+def test_search_node_counts(shape, n, kwargs, nodes, count):
+    # how many nodes a search visits, pinned: a cut that gets weaker
+    # keeps the stream but visits more nodes
+    stream, runs = _search_nodes(shape, n, **kwargs)
+    assert (runs, len(stream)) == (nodes, count)
+
+
 def test_weight_total_equals_entry_count():
     for outer in partitions_up_to(4):
         for f in enumerate_svt(skew(outer), 3):
