@@ -85,9 +85,6 @@ class SparseIntPolynomial:
     def coefficient(self, exp) -> int:
         return self.terms.get(tuple(exp), 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -100,23 +97,6 @@ class SparseIntPolynomial:
             self.n,
             {e: c for e, c in self.terms.items() if cap is None or sum(e) <= cap},
             cap)
-
-    def __add__(self, other):
-        if not isinstance(other, SparseIntPolynomial):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} variables vs {other.n}")
-        cap = self.cap
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if cap is not None and sum(e) > cap:
-                continue
-            merged = out.get(e, 0) + c
-            if merged:
-                out[e] = merged
-            else:
-                out.pop(e, None)
-        return SparseIntPolynomial._trusted(self.n, out, cap)
 
     def __eq__(self, other):
         if isinstance(other, SparseIntPolynomial):

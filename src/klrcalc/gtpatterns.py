@@ -48,10 +48,6 @@ class GTPattern:
     def n(self) -> int:
         return len(self.rows)
 
-    def x(self, i: int, j: int) -> int:
-        """Entry in row i at position j, both 1-based."""
-        return self.rows[i - 1][j - 1]
-
     def __eq__(self, other):
         if isinstance(other, GTPattern):
             return self.rows == other.rows

@@ -47,6 +47,11 @@ class CoefficientQuery:
         if max(len(self.lam), len(self.mu), len(self.nu)) > self.n:
             raise DomainError(f"n={self.n} smaller than a partition length")
 
+    @property
+    def sign(self) -> int:
+        """(-1)^{|nu|-|lam|-|mu|}, the sign of the nu term of the G-basis product."""
+        return -1 if (self.nu.size() - self.lam.size() - self.mu.size()) % 2 else 1
+
 
 def _side(q: CoefficientQuery, straight: bool):
     """(sub, shape, target) of one witness family, the sub-dominant fillings
@@ -143,9 +148,7 @@ def coeff_oracle(query: CoefficientQuery, cap=None) -> int:
     if cap is None:
         cap = max(query.nu.size(), query.lam.size() + query.mu.size())
     expansion = grothendieck.expand_product(query.lam, query.mu, query.n, cap)
-    raw = expansion.coefficient(query.nu)
-    parity = (query.nu.size() - query.lam.size() - query.mu.size()) % 2
-    return -raw if parity else raw
+    return query.sign * expansion.coefficient(query.nu)
 
 
 @dataclass(frozen=True)

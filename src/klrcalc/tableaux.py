@@ -66,9 +66,6 @@ class SetValuedFilling:
         return [[self.entries[(r, c)] for c in self.shape.row_cols(r)]
                 for r in range(1, self.shape.num_rows + 1)]
 
-    def cell(self, row: int, col: int) -> frozenset:
-        return self.entries[(row, col)]
-
     def num_cells(self) -> int:
         return len(self.entries)
 
@@ -188,38 +185,43 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     completion, so the stream is the post-filtered stream, in the same
     order.
 
-    Dominance is pruned while cells are filled.  A semistandard row reads
-    weakly decreasing in the row word, so when the word reaches a v of
-    row r the only (v-1)s before it are the lam_{v-1} of the seed and
-    those in the rows above r.  A cell of row r may therefore take an
-    entry v >= 2 only while lam_v + #v placed so far < lam_{v-1} + #(v-1)
-    in rows above r.  The cut is exact: counts only grow and the right
-    side changes only at a row end, so a violated cut cannot be repaired,
-    and a full filling that passed every cut has a dominant word, since
-    inside row r the excess of v over v-1 peaks after its last v.
+    One per-value limit bounds how many copies of v a filling holds: a
+    cell may take v only while fewer than limit[v] are placed.  It is
+    the weight budget (none beyond w = min(n, L) for a weight of length
+    L), or one copy per cell without a weight (w = n).  With
+    `dominant_for`, each row start lowers it to min(budget, room[v]),
+    room[v] = lam_{v-1} + #(v-1) in the rows above - lam_v for v >= 2.
+    A semistandard row reads weakly decreasing in the row word, so when
+    the word reaches a v of row r the only (v-1)s before it are the
+    lam_{v-1} of the seed and those in the rows above r; room[v] is the
+    most v's the word allows by the end of the row.  The bound is exact:
+    counts only grow and room changes only at a row start, so a broken
+    bound cannot be repaired, and a full filling that kept it has a
+    dominant word, since inside row r the excess of v over v-1 peaks
+    after its last v.
 
-    A weight filter of length L adds per-value budgets (no value beyond
-    w = min(n, L), no more copies of v than the target asks), the
-    leftover total (each remaining cell takes one to n entries), an
-    early exit when the target asks for a value above n, and three
-    capacity cuts, each a necessary condition on every completion:
+    Three cuts sharpen the limit, each a necessary condition on every
+    completion:
 
-    1. Column range.  The cells of a skew column are contiguous and
-       strictly increase, so a cell with a cells above it and b below it
-       holds only values in [a+1, w-b].
-    2. Value capacity.  A column holds a value at most once, so the
-       copies of v still needed can be at most the number of distinct
-       columns among the unfilled cells whose range contains v.  It is
-       checked for every child before the search descends: a value
-       whose need exceeds the capacity of the cells after this one must
-       go into this cell.
-    3. Row-wise dominance capacity (with `dominant_for`), at each row
-       start.  Let room[v] be the most v's allowed by the end of the
-       current row.  If `must` copies of v have to land in rows current..k
-       because the rows after k cannot take the rest, then #v at the end
-       of row k is at least counts[v] + must, and its bound there is
-       room[v] plus the (v-1)s placed in rows current..k-1, which is at
-       most min(need of v-1, cells of those rows that can hold v-1).
+    1. Column range, in every search.  The cells of a skew column are
+       contiguous and strictly increase, so a cell with a cells above it
+       and b below it holds only values in [a+1, w-b].
+    2. Value capacity, with a weight.  A column holds a value at most
+       once, so the copies of v still needed can be at most the number
+       of distinct columns among the unfilled cells whose range contains
+       v.  It is checked for every child before the search descends: a
+       value whose need exceeds the capacity of the cells after this one
+       must go into this cell.  Beside it, the leftover total gives each
+       remaining cell one to n entries, and a target that asks for a
+       value above n exits at once.
+    3. Row-wise dominance capacity, with a weight and `dominant_for`, at
+       each row start.  It is a lookahead over the rows still to come,
+       not a second copy of the limit.  If `must` copies of v have to
+       land in rows current..k because the rows after k cannot take the
+       rest, then #v at the end of row k is at least counts[v] + must,
+       and its bound there is limit[v] plus the (v-1)s placed in rows
+       current..k-1, which is at most min(need of v-1, cells of those
+       rows that can hold v-1).
     """
     n = int(n)
     cells = shape.cells()
@@ -227,38 +229,32 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
 
     target = None
     target_sum = 0
-    if weight_filter is not None:
+    if weight_filter is None:
+        w, budget = n, [0] + [ncells] * n
+    else:
         target = tuple(int(t) for t in weight_filter)
         if any(t < 0 for t in target) or any(target[n:]):
             return
         target_sum = sum(target)
+        w = min(n, len(target))
+        budget = [0] + list(target[:w]) + [0] * (n - w)
 
-    if ncells == 0:
-        if target is None or target_sum == 0:
-            yield SetValuedFilling(shape, {})
-        return
-    if n <= 0:
+    span, cap, row_of, upto = _capacity_tables(cells, w)
+    if not all(span) or target is not None and any(
+            target[v - 1] > cap[0][v] for v in range(1, w + 1)):
         return
 
     index = {cell: i for i, cell in enumerate(cells)}
     left = [index.get((r, c - 1)) for (r, c) in cells]
     up = [index.get((r - 1, c)) for (r, c) in cells]
-    # lam padded with zeros, so room can index it directly
+    # lam padded with zeros, so the room of every v can index it directly
     lam = None if dominant_for is None else as_partition(dominant_for).parts + (0,) * n
     row_start = [i == 0 or cells[i][0] != cells[i - 1][0] for i in range(ncells)]
-
-    if target is not None:
-        w = min(n, len(target))
-        span, cap, row_of, upto = _capacity_tables(cells, w)
-        if not all(span) or any(target[v - 1] > cap[0][v] for v in range(1, w + 1)):
-            return
-
-    full = (1 << n) - 1
     per_cell = 1 if singleton else n
     masks = [0] * ncells
     counts = [0] * (n + 1)
 
-    def row_cut(pos, room):
+    def row_cut(pos, limit):
         # cut 3: True when some v cannot fit under its dominance bound
         k0 = row_of[pos]
         for v in range(2, w + 1):
@@ -270,19 +266,22 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             short = need - upto[-1][v]
             for k in range(k0, len(upto) - 1):
                 must = short + upto[k + 1][v]  # need minus the cells after row k
-                if must > 0 and counts[v] + must > room[v] + min(
+                if must > 0 and counts[v] + must > limit[v] + min(
                         prev_need, upto[k][v - 1] - base):
                     return True
         return False
 
-    def fill(pos, total, room):
-        # room[v], set at each row start, is the most v's the filling may
-        # hold by the end of this row: lam_{v-1} + #(v-1) above, minus lam_v
+    def fill(pos, total, limit):
         if pos == ncells:
             if target is None or total == target_sum:
                 yield SetValuedFilling._trusted(
                     shape, {cells[i]: _mask_set(masks[i]) for i in range(ncells)})
             return
+        if lam is not None and row_start[pos]:
+            limit = budget[:2] + [min(budget[v], lam[v - 2] + counts[v - 1] - lam[v - 1])
+                                  for v in range(2, n + 1)]
+            if target is not None and row_cut(pos, limit):
+                return
         lo = 1
         li = left[pos]
         if li is not None:
@@ -290,32 +289,16 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
         ui = up[pos]
         if ui is not None:
             lo = max(lo, masks[ui].bit_length() + 1)
-        if lo > n:
-            return
-        forced = 0
-        if target is None:
-            allowed = full & ~((1 << (lo - 1)) - 1)
-        else:
-            # cut 2 for the child: a value the later cells cannot take
-            # enough copies of is forced into this cell
-            later = cap[pos + 1]
-            allowed = 0
-            for v in range(1, w + 1):
-                need = target[v - 1] - counts[v]
-                if need:
-                    allowed |= 1 << (v - 1)
-                    if need > later[v]:
-                        forced |= 1 << (v - 1)
-            allowed &= span[pos] & ~((1 << (lo - 1)) - 1)
-        if lam is not None:
-            if row_start[pos]:
-                room = [0, 0] + [lam[v - 2] + counts[v - 1] - lam[v - 1]
-                                 for v in range(2, n + 1)]
-                if target is not None and row_cut(pos, room):
-                    return
-            for v in range(max(lo, 2), n + 1):
-                if counts[v] >= room[v]:
-                    allowed &= ~(1 << (v - 1))
+        # cut 2 for the child: a value the later cells cannot take enough
+        # copies of is forced into this cell
+        later = cap[pos + 1]
+        allowed = forced = 0
+        for v in range(1, w + 1):
+            if counts[v] < limit[v]:
+                allowed |= 1 << (v - 1)
+            if target is not None and target[v - 1] - counts[v] > later[v]:
+                forced |= 1 << (v - 1)
+        allowed &= span[pos] & ~((1 << (lo - 1)) - 1)
         if not allowed or forced & ~allowed:
             return
         remaining = ncells - pos - 1
@@ -343,18 +326,18 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             while mm:
                 counts[(mm & -mm).bit_length()] += 1
                 mm &= mm - 1
-            yield from fill(pos + 1, new_total, room)
+            yield from fill(pos + 1, new_total, limit)
             mm = m
             while mm:
                 counts[(mm & -mm).bit_length()] -= 1
                 mm &= mm - 1
             masks[pos] = 0
 
-    yield from fill(0, 0, None)
+    yield from fill(0, 0, budget)
 
 
 def _capacity_tables(cells, w):
-    """Tables of the weight-filtered cuts of `enumerate_svt`, for values 1..w.
+    """Tables of the cuts of `enumerate_svt`, for values 1..w.
 
     `span[i]` is the bitmask of the values cell i can hold in a strictly
     increasing column, `cap[i][v]` the number of distinct columns among

@@ -107,10 +107,9 @@ def check_rules(lam, mu, n: int) -> str:
             buch = len(witnesses)
             contra = len(contras)
             raw = expansion.coefficient(nu)
-            parity = (nu.size() - lam.size() - mu.size()) % 2
-            oracle = -raw if parity else raw
+            oracle = query.sign * raw
             instance = (tuple(lam), tuple(mu), tuple(nu))
-            if raw and (raw < 0) != bool(parity):
+            if oracle < 0:
                 return f"sign law broken at {instance}: raw={raw}"
             if not (buch == contra == oracle):
                 return (f"rules disagree at {instance}: "

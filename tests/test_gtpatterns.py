@@ -94,7 +94,7 @@ def test_omega_worked_examples():
     one = MarkedGTPattern(GTPattern([(1,)]))
     out = omega(one)
     assert out.shape == rotate((1,))
-    assert out.cell(1, 1) == frozenset({1})
+    assert out.entries[(1, 1)] == frozenset({1})
 
 
 def test_omega_inverse_examples():

@@ -8,7 +8,7 @@ from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
                      gamma_inverse, is_lambda_dominant, partitions_up_to,
                      rotate, skew, total_entries, upsilon_inverse, weight,
                      witness_lists)
-from klrcalc import lr, verify
+from klrcalc import grothendieck, lr, verify
 
 
 def final_query():
@@ -305,7 +305,7 @@ def test_pattern_entries_match_count_formula():
                     in_row = sum(1 for vals in rows[j - 1] for v in vals if v <= i)
                 low = sum(1 for (a, b) in marked.marks if b == j and a >= j + 1)
                 high = sum(1 for (a, b) in marked.marks if b == j and a >= i + 1)
-                assert marked.pattern.x(i, j) == in_row - low + high
+                assert marked.pattern.rows[i - 1][j - 1] == in_row - low + high
 
 
 def test_buch_witnesses_all_singleton_in_classical_degree():
@@ -313,3 +313,25 @@ def test_buch_witnesses_all_singleton_in_classical_degree():
     witnesses = list(buch_tableaux(q))
     assert len(witnesses) == 2
     assert all(total_entries(t) == t.num_cells() for t in witnesses)
+
+
+def test_sign_law_is_checked_in_the_sweep(monkeypatch):
+    # the nu term of the product is (-1)^{|nu|-|lam|-|mu|} times the count
+    assert CoefficientQuery((1,), (1,), (2,)).sign == 1
+    assert CoefficientQuery((1,), (1,), (2, 1)).sign == -1
+    real = grothendieck.expand_product
+
+    def shifted(shift_all):
+        def expansion(*args):
+            coeffs = real(*args).coeffs
+            return grothendieck.BasisExpansion("G", {
+                nu: -c if shift_all else c + (nu.size() == 3)
+                for nu, c in coeffs.items()})
+        return expansion
+
+    monkeypatch.setattr(grothendieck, "expand_product", shifted(True))
+    assert verify.check_rules((1,), (1,), 2) == (
+        "sign law broken at ((1,), (1,), (2,)): raw=-1")
+    monkeypatch.setattr(grothendieck, "expand_product", shifted(False))
+    assert verify.check_rules((1,), (1,), 2) == (
+        "rules disagree at ((1,), (1,), (2, 1)): buch=1 contra=1 oracle=0")
