@@ -335,3 +335,27 @@ def test_sign_law_is_checked_in_the_sweep(monkeypatch):
     monkeypatch.setattr(grothendieck, "expand_product", shifted(False))
     assert verify.check_rules((1,), (1,), 2) == (
         "rules disagree at ((1,), (1,), (2, 1)): buch=1 contra=1 oracle=0")
+
+
+def test_check_rules_walk_order_and_reach(monkeypatch):
+    # a nu the product does not name and no witness reaches is still
+    # checked up to the cap, by degree and then largest first; the cap
+    # of (1,), (1,) is 5, so (4, 2) is never read
+    real = grothendieck.expand_product
+
+    def bumped(*nus):
+        def expansion(*args):
+            coeffs = dict(real(*args).coeffs)
+            for nu in map(Partition, nus):
+                coeffs[nu] = coeffs.get(nu, 0) + 1
+            return grothendieck.BasisExpansion("G", coeffs)
+        return expansion
+
+    for nus, detail in (
+            (((3,), (2, 2)), "sign law broken at ((1,), (1,), (3,)): raw=1"),
+            (((4,), (3,)), "sign law broken at ((1,), (1,), (3,)): raw=1"),
+            (((2, 2), (3, 1)),
+             "rules disagree at ((1,), (1,), (3, 1)): buch=0 contra=0 oracle=1"),
+            (((4, 2),), "")):
+        monkeypatch.setattr(grothendieck, "expand_product", bumped(*nus))
+        assert verify.check_rules((1,), (1,), 2) == detail, nus
