@@ -78,19 +78,11 @@ class SparseIntPolynomial:
         p.cap = cap
         return p
 
-    @classmethod
-    def constant(cls, n: int, value=1, cap=None):
-        return cls(n, {(0,) * n: value}, cap)
-
     def coefficient(self, exp) -> int:
         return self.terms.get(tuple(exp), 0)
 
     def max_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def homogeneous(self, degree: int) -> "SparseIntPolynomial":
-        return SparseIntPolynomial._trusted(
-            self.n, {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def truncate(self, cap) -> "SparseIntPolynomial":
         return SparseIntPolynomial._trusted(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
 from . import grothendieck
 from .errors import DegreeError, DomainError, InternalInvariantError
@@ -90,43 +91,30 @@ def coeff_contra(query: CoefficientQuery) -> int:
     return sum(1 for _ in contra_tableaux(query))
 
 
-def witness_lists(lam, mu, n: int):
+def witness_lists(lam, mu, n: int) -> dict:
     """Both witness families of every nu of the lam, mu product, from one
     search per side.
 
     Runs the straight-shape search (shape mu, lam-dominant) and the
     rotated-shape search (rotated lam, mu-dominant) once each with entries
-    in [n], and buckets each stream by weight.  Returns `lookup(nu)`,
-    which gives `(buch, contra)`: the lists `buch_tableaux` and
-    `contra_tableaux` yield for `CoefficientQuery(lam, mu, nu, n)`, in
-    the same order, read from the buckets at nu - lam and nu - mu.  The
-    bucket lists are shared between calls, so callers must not mutate
-    them.
+    in [n].  Returns `{nu: (buch, contra)}`: the lists `buch_tableaux` and
+    `contra_tableaux` yield for `CoefficientQuery(lam, mu, nu, n)`, in the
+    same order.  A filling f files under nu = sub + weight(f), sub being
+    lam on the straight side and mu on the rotated one; nu is a partition
+    because f is sub-dominant.  A nu with no witness has no key.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
     n = int(n)
     if max(len(lam), len(mu)) > n:
         raise DomainError(f"n={n} smaller than a partition length")
-    lam_n, mu_n = lam.pad(n), mu.pad(n)
-
-    def buckets(shape, dominant_for):
-        out = {}
-        for f in enumerate_svt(shape, n, dominant_for=dominant_for):
-            out.setdefault(weight(f, n), []).append(f)
-        return out
-
-    straight = buckets(skew(mu, ()), lam)
-    rotated = buckets(rotate(lam), mu)
-
-    def lookup(nu):
-        nu = as_partition(nu)
-        if len(nu) > n:
-            raise DomainError(f"n={n} smaller than a partition length")
-        nu_n = nu.pad(n)
-        return (straight.get(tuple(a - b for a, b in zip(nu_n, lam_n)), []),
-                rotated.get(tuple(a - b for a, b in zip(nu_n, mu_n)), []))
-    return lookup
+    lists = {}
+    for side, (sub, shape) in enumerate(((lam, skew(mu, ())), (mu, rotate(lam)))):
+        pad = sub.pad(n)
+        for f in enumerate_svt(shape, n, dominant_for=sub):
+            nu = Partition(map(add, pad, weight(f, n)))
+            lists.setdefault(nu, ([], []))[side].append(f)
+    return lists
 
 
 def coeff_classical(query: CoefficientQuery) -> int:

@@ -110,9 +110,6 @@ class SkewShape:
         """All cells in row-major order (top to bottom, left to right)."""
         return [(r, c) for r in range(1, self.num_rows + 1) for c in self.row_cols(r)]
 
-    def has_cell(self, row: int, col: int) -> bool:
-        return 1 <= row <= self.num_rows and self.inner[row - 1] < col <= self.outer[row - 1]
-
     def num_cells(self) -> int:
         return self.outer.size() - self.inner.size()
 

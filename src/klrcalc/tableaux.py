@@ -85,15 +85,17 @@ class SetValuedFilling:
 
 
 def is_semistandard(filling: SetValuedFilling) -> bool:
-    """Rows weakly increase left to right, columns strictly increase downward."""
-    shape = filling.shape
-    for (r, c), vals in filling.entries.items():
-        if shape.has_cell(r, c - 1):
-            if max(filling.entries[(r, c - 1)]) > min(vals):
-                return False
-        if shape.has_cell(r - 1, c):
-            if max(filling.entries[(r - 1, c)]) >= min(vals):
-                return False
+    """Rows weakly increase left to right, columns strictly increase downward.
+
+    A neighbour is a cell of the shape exactly when it is a key of `entries`."""
+    entries = filling.entries
+    for (r, c), vals in entries.items():
+        left = entries.get((r, c - 1))
+        if left is not None and max(left) > min(vals):
+            return False
+        above = entries.get((r - 1, c))
+        if above is not None and max(above) >= min(vals):
+            return False
     return True
 
 
@@ -123,8 +125,9 @@ def column_word(filling: SetValuedFilling) -> tuple:
     word = []
     for c in range(width, 0, -1):
         for r in range(1, shape.num_rows + 1):
-            if shape.has_cell(r, c):
-                word.extend(sorted(filling.entries[(r, c)], reverse=True))
+            vals = filling.entries.get((r, c))
+            if vals is not None:
+                word.extend(sorted(vals, reverse=True))
     return tuple(word)
 
 

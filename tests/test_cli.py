@@ -264,12 +264,13 @@ def test_verify_detects_corrupted_rule(capsys, monkeypatch):
     real = lr.witness_lists
 
     def flipped(lam, mu, n):
-        lookup = real(lam, mu, n)
-
-        def corrupted(nu):
-            buch, contra = lookup(nu)
-            return (buch + [None] if nu.size() else buch), contra
-        return corrupted
+        lists = real(lam, mu, n)
+        top = sum(lam) + sum(mu) + 3
+        for nu in klrcalc.partitions_up_to(top, max_length=n):
+            if nu.size():
+                buch, contra = lists.get(nu, ([], []))
+                lists[nu] = (buch + [None], contra)
+        return lists
 
     monkeypatch.setattr(lr, "witness_lists", flipped)
     code, out, _ = run(capsys, "verify", "--max-size", "1", "--n", "1",

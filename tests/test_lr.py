@@ -240,25 +240,30 @@ def test_witness_lists_match_post_filtered_enumeration():
 
 
 def test_witness_lists_lookup_matches_per_nu_lists():
-    # one search per side, bucketed by weight, gives every nu the lists the
+    # one search per side, filed by weight, gives every nu the lists the
     # per-nu searches yield, in their order; the nu run to the verify cap
-    # and include nu - lam or nu - mu with a negative entry
-    negative = witnesses = 0
+    # and include nu - lam or nu - mu with a negative entry, and every
+    # key, those above the cap too, holds exactly the per-nu lists
+    negative = witnesses = above = 0
     for n in (3, 4):
         for lam in partitions_up_to(3, max_length=n):
             for mu in partitions_up_to(3, max_length=n):
-                lookup = witness_lists(lam, mu, n)
+                lists = witness_lists(lam, mu, n)
                 top = lam.size() + mu.size() + 3
                 for nu in partitions_up_to(top, max_length=n):
                     q = CoefficientQuery(lam, mu, nu, n)
-                    buch, contra = lookup(nu)
+                    buch, contra = lists.get(nu, ([], []))
                     assert buch == list(buch_tableaux(q)), q
                     assert contra == list(contra_tableaux(q)), q
                     negative += any(nu[i] < lam[i] for i in range(n))
                     witnesses += len(buch)
-    assert negative > 800 and witnesses > 350
-    with pytest.raises(DomainError):
-        witness_lists((1,), (1,), 1)((1, 1))
+                for nu, (buch, contra) in lists.items():
+                    q = CoefficientQuery(lam, mu, nu, n)
+                    assert buch == list(buch_tableaux(q)), q
+                    assert contra == list(contra_tableaux(q)), q
+                    assert buch or contra, q
+                    above += nu.size() > top
+    assert negative > 800 and witnesses > 350 and above > 0
     with pytest.raises(DomainError):
         witness_lists((1, 1), (1,), 1)
 
