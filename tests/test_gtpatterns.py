@@ -330,3 +330,21 @@ def test_upsilon_inverse_rejection_messages(rows, message):
     with pytest.raises(DomainError) as info:
         upsilon_inverse(SetValuedFilling.from_rows(shape, rows), 3)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("inverse, shape, rows, positions", [
+    (upsilon_inverse, skew((1, 1)), [[{1, 2}], [{2}]], "[(2, 1)]"),
+    (upsilon_inverse, skew((2, 1)), [[{1, 2, 3}, {3}], [{2}]], "[(2, 1), (3, 1)]"),
+    (upsilon_inverse, skew((1, 1, 1)), [[{1, 2, 3}], [{2, 3}], [{3}]],
+     "[(2, 1), (3, 1), (3, 2)]"),
+    (omega_inverse, rotate((1, 1)), [[{1, 2}], [{2, 3}]], "[(2, 1)]"),
+    (omega_inverse, rotate((2, 1)), [[{2}], [{1}, {1, 2, 3}]], "[(2, 1), (3, 1)]"),
+    (omega_inverse, rotate((1, 1, 1)), [[{1}], [{1, 2}], [{1, 2, 3}]],
+     "[(2, 1), (3, 1), (3, 2)]"),
+])
+def test_unmarkable_marks_message(inverse, shape, rows, positions):
+    # every recovered mark without slack is listed, sorted, in one message
+    with pytest.raises(DomainError) as info:
+        inverse(SetValuedFilling.from_rows(shape, rows), 3)
+    assert str(info.value) == \
+        f"recovered marks are not markable: positions not markable: {positions}"
