@@ -9,10 +9,15 @@ set-valued tableau (`upsilon`) or a rotated one (`omega`).
 Both are one strip engine in two orientations, placed by `_frame`.
 Straight: pass i writes i, and pattern row j is shape row j read from
 the left.  Rotated: pass i writes n+1-i, and pattern row j is bottom-row
-j read from the right.  `_expand` runs the passes; `upsilon_inverse` and
+j read from the right.  The passes depend on the pattern alone, so
+`_strips_of` validates a pattern and runs them once per orientation,
+keeping the unmarked cells in the pattern's own `_strips` slot; `_expand`
+copies them and adds the marks of each marking.  `upsilon_inverse` and
 `omega_inverse` read the cells through the same frame, and `_contract`
 undoes the passes in one sweep, accepting exactly the semistandard
-fillings with entries at most n.
+fillings with entries at most n.  `check_marks` is the one test of a
+marking, shared by the `MarkedGTPattern` constructor, `_contract` and the
+gamma path in `lr`.
 """
 
 from __future__ import annotations
@@ -26,9 +31,13 @@ from .tableaux import SetValuedFilling
 
 
 class GTPattern:
-    """Triangular integer array; row i (1-based, from the top) has i entries."""
+    """Triangular integer array; row i (1-based, from the top) has i entries.
 
-    __slots__ = ("rows",)
+    `_strips`, left unset until the first expansion, keeps per orientation
+    what `_strips_of` built; equality and hashing read `rows` only.
+    """
+
+    __slots__ = ("rows", "_strips")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
@@ -80,6 +89,16 @@ def markable_positions(pattern: GTPattern) -> frozenset:
                      if rows[i - 2][j - 1] - rows[i - 1][j] > 0)
 
 
+def check_marks(rows: tuple, marks) -> None:
+    """ValueError, "positions not markable: [...]" listing the bad marks
+    sorted, unless each mark (i, j) of the pattern with rows `rows` lies in
+    it, 1 <= j < i <= n, with positive slack x(i-1, j) > x(i, j+1)."""
+    bad = [(i, j) for (i, j) in marks
+           if not (0 < j < i <= len(rows) and rows[i - 2][j - 1] > rows[i - 1][j])]
+    if bad:
+        raise ValueError(f"positions not markable: {sorted(bad)}")
+
+
 class MarkedGTPattern:
     """A pattern together with marks at positions of positive slack."""
 
@@ -87,9 +106,7 @@ class MarkedGTPattern:
 
     def __init__(self, pattern: GTPattern, marks=()):
         marks = frozenset((int(i), int(j)) for (i, j) in marks)
-        bad = marks - markable_positions(pattern)
-        if bad:
-            raise ValueError(f"positions not markable: {sorted(bad)}")
+        check_marks(pattern.rows, marks)
         self.pattern = pattern
         self.marks = marks
 
@@ -167,20 +184,19 @@ def _frame(parts: tuple, rotated: bool) -> tuple:
     return skew(lam, ()), 1, 0, 0
 
 
-def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
-    """The strip engine behind `upsilon` and `omega`.
-
-    Pass i writes its label into the cells x(i-1, j)+1 .. x(i, j) of
-    every pattern row j; a mark (i, j) adds the label to cell x(i-1, j),
-    the last cell row j had before the pass.
-    """
-    pattern = marked.pattern
-    n = pattern.n
+def _strips_of(pattern: GTPattern, rotated: bool) -> tuple:
+    """(shape, sign, row0, col0, entries) of `pattern` expanded in one
+    orientation with no marks, placed by `_frame`; DomainError unless the
+    pattern is valid.  Built and validated once per orientation, then kept
+    in the pattern's `_strips` slot; a pattern that fails keeps nothing."""
+    memo = getattr(pattern, "_strips", None)
+    if memo is not None and memo[rotated] is not None:
+        return memo[rotated]
     if not validate(pattern):
         raise DomainError(f"invalid pattern {pattern!r}")
     rows = pattern.rows
+    n = len(rows)
     shape, sign, row0, col0 = _frame(rows[-1] if n else (), rotated)
-
     entries = {}
     for i in range(1, n + 1):
         label = frozenset((n + 1 - i if rotated else i,))
@@ -189,7 +205,28 @@ def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
             have = above[j - 1] if j < i else 0
             for c in range(have + 1, width + 1):
                 entries[(row0 + sign * j, col0 + sign * c)] = label
-    for (i, j) in sorted(marked.marks):  # markable: x(i-1, j) > x(i, j+1) >= 0
+    if memo is None:
+        memo = pattern._strips = [None, None]
+    memo[rotated] = strips = (shape, sign, row0, col0, entries)
+    return strips
+
+
+def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
+    """The strip engine behind `upsilon` and `omega`.
+
+    Pass i writes its label into the cells x(i-1, j)+1 .. x(i, j) of
+    every pattern row j; a mark (i, j) adds the label to cell x(i-1, j),
+    the last cell row j had before the pass.  The passes depend on the
+    pattern alone, so `_strips_of` runs them once per pattern and
+    orientation; each marking copies that dict and adds its mark labels,
+    in any order, since a cell's label set is a union.
+    """
+    pattern = marked.pattern
+    shape, sign, row0, col0, entries = _strips_of(pattern, rotated)
+    entries = dict(entries)
+    rows = pattern.rows
+    n = len(rows)
+    for (i, j) in marked.marks:  # markable: x(i-1, j) > x(i, j+1) >= 0
         cell = (row0 + sign * j, col0 + sign * rows[i - 2][j - 1])
         entries[cell] = entries[cell] | {n + 1 - i if rotated else i}
     return SetValuedFilling._trusted(shape, entries)
@@ -224,15 +261,17 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
 
     A value v reads as its pass label, v or n+1-v when rotated.  A cell's
     key, its smallest label, is the pass that created it, and every larger
-    label is one mark.  x(i, j) counts the cells of row j with key at most
-    i, from a running histogram of the row's keys.
+    label is one mark; a singleton cell, the common case, is read as its
+    key alone.  x(i, j) counts the cells of row j with key at most i, from
+    a running histogram of the row's keys.
 
     Exactly the semistandard fillings invert.  Failures raise DomainError,
     checked in this order: the keys of row j are at least j and
     non-decreasing (reported at the first pass i, then row, where a key i
     lies below row i or after a larger key); the pattern interlaces; the
-    marks are markable; each mark (v, j) sits in cell x(v-1, j), the last
-    with key at most v-1, so no cell's largest label exceeds the next key.
+    marks are markable, each by its own slack; each mark (v, j) sits in
+    cell x(v-1, j), the last with key at most v-1, so no cell's largest
+    label exceeds the next key.
     """
     marks = set()
     counts = []
@@ -242,9 +281,15 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
         hist = [0] * n
         low = high = j  # floors for the next key: the last key, the last label
         for vals in row:
-            labels = [n + 1 - v for v in vals] if rotated else vals
-            key, top = min(labels), max(labels)
-            marks.update((v, j) for v in labels if v != key)
+            if len(vals) == 1:  # most cells: the key alone, no marks
+                (key,) = vals
+                if rotated:
+                    key = n + 1 - key
+                top = key
+            else:
+                labels = [n + 1 - v for v in vals] if rotated else vals
+                key, top = min(labels), max(labels)
+                marks.update((v, j) for v in labels if v != key)
             if key < high:
                 if key < low and (first is None or (key, j) < first[:2]):
                     first = (key, j, key >= j)
@@ -267,12 +312,12 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     if not validate(pattern):
         raise DomainError("filling is not semistandard enough to invert")
     try:
-        marked = MarkedGTPattern(pattern, marks)
+        check_marks(pattern.rows, marks)
     except ValueError as exc:
         raise DomainError(f"recovered marks are not markable: {exc}") from exc
     if loose:
         raise DomainError("filling is not semistandard enough to invert")
-    return marked
+    return MarkedGTPattern._trusted(pattern, frozenset(marks))
 
 
 def _read(filling: SetValuedFilling, lam: Partition, n, rotated: bool) -> MarkedGTPattern:

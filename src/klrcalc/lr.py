@@ -16,8 +16,8 @@ from operator import add
 
 from . import grothendieck
 from .errors import DegreeError, DomainError, InternalInvariantError
-from .gtpatterns import (GTPattern, MarkedGTPattern, omega, omega_inverse,
-                         upsilon, upsilon_inverse, validate)
+from .gtpatterns import (GTPattern, MarkedGTPattern, check_marks, omega,
+                         omega_inverse, upsilon, upsilon_inverse, validate)
 from .shapes import Partition, as_partition, rotate, skew
 from .tableaux import (SetValuedFilling, enumerate_svt, is_lambda_dominant,
                        is_semistandard, weight)
@@ -196,13 +196,15 @@ def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight
 def _marked_pattern(rows: tuple, marks, what: str) -> MarkedGTPattern:
     """The marked pattern the gamma path computed; InternalInvariantError,
     "<what> pattern invalid: ...", unless it is one."""
+    pattern = GTPattern._trusted(rows)
+    marks = frozenset(marks)
     try:
-        pattern = GTPattern._trusted(rows)
         if not validate(pattern):
             raise ValueError("pattern inequalities fail")
-        return MarkedGTPattern(pattern, marks)
+        check_marks(rows, marks)
     except ValueError as exc:
         raise InternalInvariantError(f"{what} pattern invalid: {exc}") from exc
+    return MarkedGTPattern._trusted(pattern, marks)
 
 
 def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -348,3 +349,42 @@ def test_unmarkable_marks_message(inverse, shape, rows, positions):
         inverse(SetValuedFilling.from_rows(shape, rows), 3)
     assert str(info.value) == \
         f"recovered marks are not markable: positions not markable: {positions}"
+
+
+@pytest.mark.parametrize("lam, n, calls", [((2, 1), 3, 70), ((3, 2, 1), 4, 1586)])
+def test_check_bijections_validates_each_pattern_once_per_map(monkeypatch, lam, n, calls):
+    # two per pattern for the forward maps, one per orientation, plus two
+    # per marked pattern for the inverses, one per recovered pattern
+    real = gtpatterns.validate
+    seen = []
+
+    def counted(pattern):
+        seen.append(pattern)
+        return real(pattern)
+
+    monkeypatch.setattr(gtpatterns, "validate", counted)
+    assert verify.check_bijections(lam, n) == ""
+    patterns = list(enumerate_gt(lam, n))
+    marked = sum(1 for x in patterns for _ in marked_patterns(x))
+    assert len(seen) == 2 * len(patterns) + 2 * marked == calls
+
+
+def test_expansion_memo_is_exact_and_private():
+    marked = [m for lam in partitions_up_to(5, max_length=4)
+              for n in range(max(1, len(lam)), 5)
+              for x in enumerate_gt(lam, n) for m in marked_patterns(x)]
+    jobs = [(m, expand) for m in marked for expand in (upsilon, omega)]
+    random.Random(15).shuffle(jobs)
+    for m, expand in jobs:
+        got = expand(m)
+        fresh = expand(MarkedGTPattern(GTPattern(m.pattern.rows), m.marks))
+        assert got == fresh and list(got.entries) == list(fresh.entries)
+        again = expand(m)
+        assert again == got and again.entries is not got.entries
+    assert len(jobs) == 2 * 4122
+
+    invalid = MarkedGTPattern._trusted(GTPattern([(1,), (2, 2)]), frozenset())
+    for expand in (upsilon, omega):
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^invalid pattern GTPattern"):
+                expand(invalid)

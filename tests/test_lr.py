@@ -161,6 +161,17 @@ def test_gamma_inverse_closes_its_round_trip(monkeypatch):
         gamma(wx.s1(), q)  # not a straight-shape witness
 
 
+@pytest.mark.parametrize("rows, marks, what, detail", [
+    (((2,), (2, 2)), [(2, 1), (3, 1)], "relabelled",
+     "positions not markable: [(2, 1), (3, 1)]"),  # no slack; outside the pattern
+    (((1,), (2, 2)), [], "decremented", "pattern inequalities fail"),
+])
+def test_gamma_path_pattern_checks_name_the_step(rows, marks, what, detail):
+    with pytest.raises(InternalInvariantError) as info:
+        lr._marked_pattern(rows, marks, what)
+    assert str(info.value) == f"{what} pattern invalid: {detail}"
+
+
 def test_check_rules_sees_a_broken_gamma_inverse(monkeypatch):
     # the sweep calls the inverse core, past the public checks; a core
     # that sends s1 back to t2 must still fail its round trip
