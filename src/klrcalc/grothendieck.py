@@ -22,6 +22,16 @@ The expansion peels monomials degree by degree; within one degree the
 monomial of a partition occurs in the basis element of another
 partition only when the latter dominates the former, so scanning
 partitions largest-first makes the change of basis triangular.
+
+The oracle's basis elements G_nu come from one forward table per
+(n, cap).  With no inner shape m_i needs only kappa(i-1) and kappa(i),
+so running the recursion forward from the empty partition gives every
+G_nu = F(n, nu) at once.  The peel reads only partition exponents, the
+dominant cone, so the table keeps only exponent prefixes
+e_1 >= ... >= e_i, and the oracle peels the product restricted to that
+cone.  That is exact: the product is checked symmetric and every G_nu is
+symmetric, so the residual is symmetric, and a nonzero symmetric
+polynomial has a nonzero partition monomial.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import comb
-from operator import itemgetter
+from operator import ge, itemgetter
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
 from .shapes import Partition, as_partition, partitions, skew
@@ -168,8 +178,9 @@ def _strips(kappa: tuple, outer: tuple):
 
 
 # cap stays in the key: caching the exhaustive polynomial once and
-# truncating it per cap costs more memory than rebuilding per cap; a
-# session asks for a few hundred keys, so the bound caps long-lived ones
+# truncating it per cap costs more memory than rebuilding per cap.  The
+# oracle asks here only for its two factors, the public builders for the
+# rest; the bound caps long-lived sessions
 @lru_cache(maxsize=4096)
 def _g_poly(outer: tuple, inner: tuple, n: int, cap: int) -> SparseIntPolynomial:
     """Signed polynomial of outer/inner by the chain formula, terms to degree cap.
@@ -310,6 +321,18 @@ def _peel(residual: dict, d: int, n: int, element) -> dict:
     return coeffs
 
 
+def _peel_to_cap(residual: dict, n: int, cap: int, element) -> BasisExpansion:
+    """Every degree up to cap peeled off `residual` by `_peel`; the G
+    coordinates, or ResidualNonzero naming the lowest monomial left."""
+    coeffs = {}
+    for d in range(cap + 1):
+        coeffs.update(_peel(residual, d, n, element))
+    if residual:
+        low = _lowest_monomial(residual)
+        raise ResidualNonzero(f"degree {sum(low)} did not clear; lowest monomial {low}")
+    return BasisExpansion("G", coeffs)
+
+
 def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     """Coordinates of `p` on the signed set-valued basis, by degree peeling.
 
@@ -328,15 +351,8 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     kept = p if cap == p.cap else p.truncate(cap)
     if not is_symmetric(kept):
         raise NotSymmetric(f"{p!r} is not symmetric up to degree {cap}")
-    residual = dict(kept.terms)  # owned here
-    coeffs = {}
-    for d in range(cap + 1):
-        coeffs.update(_peel(residual, d, p.n,
-                            lambda nu: grothendieck_poly(nu, (), p.n, cap)))
-    if residual:
-        low = _lowest_monomial(residual)
-        raise ResidualNonzero(f"degree {sum(low)} did not clear; lowest monomial {low}")
-    return BasisExpansion("G", coeffs)
+    return _peel_to_cap(dict(kept.terms), p.n, cap,  # a copy, owned here
+                        lambda nu: grothendieck_poly(nu, (), p.n, cap))
 
 
 def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
@@ -364,10 +380,69 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
     return _expand_product(first, second, int(n), int(cap))
 
 
+# a session asks for a few (n, cap) pairs, and each table holds every
+# basis element of its pair
+@lru_cache(maxsize=64)
+def _dominant_table(n: int, cap: int) -> dict:
+    """{nu.parts: G_nu at its partition exponents of degree <= cap}, for
+    every nu with at most n parts, by the chain recursion run forward.
+
+    Layer i maps kappa(i) to the terms {(e_1..e_i): coefficient} of every
+    chain from the empty partition to kappa(i).  With no inner shape m_i
+    needs only kappa(i-1) and kappa(i), so one run serves every outer
+    shape.  A prefix survives only while e_1 >= ... >= e_i and its degree
+    is at most cap: later steps only add, and an exponent vector is a
+    partition exactly when each of its prefixes is weakly decreasing.
+    """
+    layer = {(): {(): 1}}
+    for i in range(n):
+        grown = {}
+        for kappa, prefixes in layer.items():
+            # e_{i+1} is at most e_i and what the cap leaves
+            rooms = [(e, min(e[-1], cap - sum(e)) if i else cap, coef)
+                     for e, coef in prefixes.items()]
+            budget = max(room for _, room, _ in rooms)
+            size = sum(kappa)
+            rows = kappa + (0,)
+            bounds = (kappa[0] + budget if kappa else budget,) + kappa
+            for nxt in product(*(range(k, min(b, k + budget) + 1)
+                                 for k, b in zip(rows, bounds))):
+                strip = sum(nxt) - size
+                if strip > budget:
+                    continue
+                m = sum(1 for k, b in zip(kappa, nxt[1:]) if b < k)
+                weights = [(-1) ** extra * comb(m, extra) for extra in range(m + 1)]
+                terms = grown.setdefault(nxt if nxt[-1] else nxt[:-1], {})
+                for e, room, coef in rooms:
+                    for extra in range(min(m, room - strip) + 1):
+                        key = e + (strip + extra,)
+                        merged = terms.get(key, 0) + weights[extra] * coef
+                        if merged:
+                            terms[key] = merged
+                        else:
+                            del terms[key]
+        layer = {kappa: terms for kappa, terms in grown.items() if terms}
+    return {kappa: SparseIntPolynomial._trusted(n, terms, cap)
+            for kappa, terms in layer.items()}
+
+
 # a verify sweep asks for each unordered pair once per (n, cap); the
 # bound caps long-lived sessions, as _g_poly's does
 @lru_cache(maxsize=1024)
 def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
+    """G_lam * G_mu peeled on the dominant cone, basis elements read from
+    `_dominant_table(n, cap)`.
+
+    The product is checked symmetric with the text of `expand_in_g_basis`,
+    then only its partition monomials are peeled; by the module docstring
+    that gives the full peel's coefficients, and a residual is left only
+    when a basis element is wrong.  ResidualNonzero then names the lowest
+    partition monomial left, in its degree.
+    """
     product = multiply(grothendieck_poly(lam, (), n, cap),
                        grothendieck_poly(mu, (), n, cap), cap)
-    return expand_in_g_basis(product, cap)
+    if not is_symmetric(product):
+        raise NotSymmetric(f"{product!r} is not symmetric up to degree {cap}")
+    cone = {e: c for e, c in product.terms.items() if all(map(ge, e, e[1:]))}
+    table = _dominant_table(n, cap)
+    return _peel_to_cap(cone, n, cap, lambda nu: table[nu.parts])

@@ -257,7 +257,7 @@ def omega(marked: MarkedGTPattern) -> SetValuedFilling:
 
 def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     """The inverse of `_expand`, in one pass over the cell sets of each
-    pattern row in strip order, once every entry is known to be at most n.
+    pattern row in strip order, for a filling with at most n pattern rows.
 
     A value v reads as its pass label, v or n+1-v when rotated.  A cell's
     key, its smallest label, is the pass that created it, and every larger
@@ -266,12 +266,13 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     a running histogram of the row's keys.
 
     Exactly the semistandard fillings invert.  Failures raise DomainError,
-    checked in this order: the keys of row j are at least j and
-    non-decreasing (reported at the first pass i, then row, where a key i
-    lies below row i or after a larger key); the pattern interlaces; the
-    marks are markable, each by its own slack; each mark (v, j) sits in
-    cell x(v-1, j), the last with key at most v-1, so no cell's largest
-    label exceeds the next key.
+    checked in this order: no entry exceeds n (raised where the pass meets
+    it, before its label can index the histogram); the keys of row j are
+    at least j and non-decreasing (reported at the first pass i, then row,
+    where a key i lies below row i or after a larger key); the pattern
+    interlaces; the marks are markable, each by its own slack; each mark
+    (v, j) sits in cell x(v-1, j), the last with key at most v-1, so no
+    cell's largest label exceeds the next key.
     """
     marks = set()
     counts = []
@@ -290,6 +291,8 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
                 labels = [n + 1 - v for v in vals] if rotated else vals
                 key, top = min(labels), max(labels)
                 marks.update((v, j) for v in labels if v != key)
+            if key < 1 or top > n:  # an entry above n, read straight or rotated
+                raise DomainError(f"filling does not fit in a pattern of size {n}")
             if key < high:
                 if key < low and (first is None or (key, j) < first[:2]):
                     first = (key, j, key >= j)
@@ -328,10 +331,9 @@ def _read(filling: SetValuedFilling, lam: Partition, n, rotated: bool) -> Marked
     entries = filling.entries
     rows = [[entries[(row0 + sign * j, col0 + sign * c)] for c in range(1, width + 1)]
             for j, width in enumerate(lam, start=1)]
-    top = max(map(max, entries.values()), default=0)
     if n is None:
-        n = max(top, len(rows))
-    if top > n or len(rows) > n:
+        n = max(max(map(max, entries.values()), default=0), len(rows))
+    elif len(rows) > n:  # an entry above n is `_contract`'s to find
         raise DomainError(f"filling does not fit in a pattern of size {n}")
     return _contract(rows, n, rotated)
 

@@ -251,10 +251,49 @@ def test_expand_g_basis_residual_message(monkeypatch):
         return g
 
     monkeypatch.setattr(grothendieck, "grothendieck_poly", lossy)
+    g1 = grothendieck_poly((1,), (), 2, 4)
+    with pytest.raises(ResidualNonzero) as info:
+        expand_in_g_basis(multiply(g1, g1, 4), 4)
+    assert str(info.value) == "degree 3 did not clear; lowest monomial (1, 2)"
+
+
+def test_expand_product_residual_message(monkeypatch):
+    # expand_product peels the partition monomials alone, and each one
+    # clears when its own basis element is peeled, unless that element
+    # has lost its leading term
+    real = grothendieck._dominant_table
+
+    def lossy(n, cap):
+        table = dict(real(n, cap))
+        g = table[(2, 1)]  # G_(2,1) loses x1^2 x2
+        table[(2, 1)] = SparseIntPolynomial(n, {e: c for e, c in g.terms.items()
+                                                if e != (2, 1)}, g.cap)
+        return table
+
+    monkeypatch.setattr(grothendieck, "_dominant_table", lossy)
     grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
     with pytest.raises(ResidualNonzero) as info:
         grothendieck.expand_product((1,), (1,), 2, 4)
-    assert str(info.value) == "degree 3 did not clear; lowest monomial (1, 2)"
+    assert str(info.value) == "degree 3 did not clear; lowest monomial (2, 1)"
+
+
+def test_expand_product_matches_full_peel():
+    # the dominant-cone peel against the public full peel, at a cap past
+    # the product's lowest degree and at one below it; l(lam) > n included
+    grothendieck._expand_product.cache_clear()
+    shapes = list(partitions_up_to(4))
+    checked = 0
+    for n in range(5):
+        for lam in shapes:
+            for mu in shapes:
+                for cap in (lam.size() + mu.size() + 3, max(lam.size(), mu.size())):
+                    product = multiply(grothendieck_poly(lam, (), n, cap),
+                                       grothendieck_poly(mu, (), n, cap), cap)
+                    expected = expand_in_g_basis(product, cap)
+                    got = grothendieck.expand_product(lam, mu, n, cap)
+                    assert got.coeffs == expected.coeffs, (lam, mu, n, cap)
+                    checked += bool(expected.coeffs)
+    assert checked > 400
 
 
 def test_expand_schur_basis():
@@ -332,6 +371,20 @@ def test_chain_recursion_matches_enumeration():
                     assert got == expected, (outer, inner, n, cap)
                     checked += 1
     assert checked > 1000
+    # the oracle's forward table: every G_nu with at most n parts and
+    # |nu| <= cap, at its partition exponents up to degree cap
+    checked = 0
+    for n in range(5):
+        for nu in partitions_up_to(6):
+            for cap in range(nu.size(), nu.size() + 4):
+                table = grothendieck._dominant_table(n, cap)
+                assert set(table) == {k.parts for k in partitions_up_to(cap, max_length=n)}
+                expected = {e: c for e, c in grothendieck_poly(nu, (), n, cap).terms.items()
+                            if list(e) == sorted(e, reverse=True)}
+                got = table[nu.parts].terms if len(nu) <= n else {}
+                assert got == expected, (nu, n, cap)
+                checked += bool(expected)
+    assert checked > 250
 
 
 def test_exhaustive_large_shape():
@@ -383,6 +436,12 @@ def test_bialternant_formulas():
         for lam in partitions_up_to(5, max_length=n):
             g = grothendieck_poly(lam, (), n).truncate(None)
             assert multiply(g, vandermonde) == _bialternant(lam, n, True), (lam, n)
+            # the dominant table keeps the partition exponents of G_lam; a
+            # symmetric polynomial is the orbit sum of those
+            dominant = grothendieck._dominant_table(n, n * lam.size())[lam.parts]
+            orbits = SparseIntPolynomial(n, {e: c for d, c in dominant.terms.items()
+                                             for e in set(permutations(d))})
+            assert multiply(orbits, vandermonde) == _bialternant(lam, n, True), (lam, n)
             s = schur_poly(lam, (), n)
             assert multiply(s, vandermonde) == _bialternant(lam, n, False), (lam, n)
             checked += 1

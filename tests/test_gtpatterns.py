@@ -120,6 +120,20 @@ def test_omega_inverse_accepts_untagged_rotated_embedding():
         rotate((2, 1)), [[{1}], [{1}, {2}]])
 
 
+def test_inverses_report_an_entry_above_n_first():
+    # read as a pass label, a 3 at n = 2 would index past the histogram
+    # straight and from its end rotated; the last pair of fillings also
+    # has an unjustified key in the row read first
+    straight = [((2,), [[{1}, {3}]]), ((2,), [[{1}, {1, 3}]]), ((2, 1), [[{2}, {1}], [{3}]])]
+    rotated = [((2,), [[{3}, {1}]]), ((2,), [[{1, 3}, {1}]]), ((2, 1), [[{3}], [{2}, {1}]])]
+    for inverse, shape_of, cases in ((upsilon_inverse, skew, straight),
+                                     (omega_inverse, rotate, rotated)):
+        for lam, rows in cases:
+            with pytest.raises(DomainError) as info:
+                inverse(SetValuedFilling.from_rows(shape_of(lam), rows), 2)
+            assert str(info.value) == "filling does not fit in a pattern of size 2", (lam, rows)
+
+
 # untagged skew shapes that are not rotated diagrams
 NOT_ROTATED = [((3, 2), (1,)),     # ragged outer: the bottom row stops short
                ((3, 3, 1), (1,)),  # row lengths 1, 3, 2 from the bottom
