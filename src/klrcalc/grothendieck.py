@@ -18,20 +18,32 @@ Summing those choices independently gives
 
     m_i = #{ j : kappa(i-1)_j > inner_j and kappa(i)_{j+1} < kappa(i-1)_j }.
 
+`_chains` is the one recursion, run forward: layer i maps kappa(i) to
+the terms in x_1..x_i of every chain from inner to kappa(i), and it
+keeps only prefixes e_1 >= ... >= e_i, since an exponent vector is a
+partition exactly when each of its prefixes is weakly decreasing.  Two
+bounds keep the layers small.  The degree bound drops a prefix once its
+degree plus the cells of outer that kappa(i) still lacks passes the cap;
+later steps only add.  The shape bound keeps each kappa(i) inside outer;
+with no outer shape kappa grows by one row per step instead, so one run
+from the empty partition gives every basis element G_nu at once.  That
+run is `_dominant_table`.
+
+The sum is symmetric in x_1..x_n for skew shapes too (Buch, Acta Math.
+189, 2002, treats these skew sums; the tests check the result against
+listed fillings), and truncation by total degree keeps it so.  A
+symmetric polynomial is the orbit sum of its partition-exponent terms,
+so `_g_poly` returns that orbit sum, and `is_symmetric` tests a
+polynomial against the same sum.
+
 The expansion peels monomials degree by degree; within one degree the
 monomial of a partition occurs in the basis element of another
 partition only when the latter dominates the former, so scanning
-partitions largest-first makes the change of basis triangular.
-
-The oracle's basis elements G_nu come from one forward table per
-(n, cap).  With no inner shape m_i needs only kappa(i-1) and kappa(i),
-so running the recursion forward from the empty partition gives every
-G_nu = F(n, nu) at once.  The peel reads only partition exponents, the
-dominant cone, so the table keeps only exponent prefixes
-e_1 >= ... >= e_i, and the oracle peels the product restricted to that
-cone.  That is exact: the product is checked symmetric and every G_nu is
-symmetric, so the residual is symmetric, and a nonzero symmetric
-polynomial has a nonzero partition monomial.
+partitions largest-first makes the change of basis triangular.  The
+oracle peels a product on the dominant cone alone, against
+`_dominant_table(n, cap)`.  That is exact: the product is checked
+symmetric and every G_nu is symmetric, so the residual is symmetric,
+and a nonzero symmetric polynomial has a nonzero partition monomial.
 """
 
 from __future__ import annotations
@@ -158,23 +170,74 @@ def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> Sparse
         cap)
 
 
+def _cone(terms: dict) -> dict:
+    """The terms whose exponents form a partition: the dominant cone."""
+    return {e: c for e, c in terms.items() if all(map(ge, e, e[1:]))}
+
+
+@lru_cache(maxsize=4096)
+def _orbit(d: tuple) -> tuple:
+    """The distinct rearrangements of the partition `d`: each distinct part
+    first, then a rearrangement of the rest.  Cached, since builds and
+    symmetry checks meet the same exponents again and again."""
+    if len(set(d)) < 2:
+        return (d,)
+    return tuple((v,) + e for i, v in enumerate(d) if not i or v != d[i - 1]
+                 for e in _orbit(d[:i] + d[i + 1:]))
+
+
+def _orbit_sum(cone: dict) -> dict:
+    """The symmetric polynomial whose partition-exponent terms are `cone`."""
+    return {e: c for d, c in cone.items() for e in _orbit(d)}
+
+
 def is_symmetric(p: SparseIntPolynomial) -> bool:
-    """Invariance under swapping adjacent variables (the n-1 generators)."""
-    for k in range(p.n - 1):
-        for exp, coef in p.terms.items():
-            if exp[k] == exp[k + 1]:
-                continue
-            swapped = list(exp)
-            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-            if p.terms.get(tuple(swapped), 0) != coef:
-                return False
-    return True
+    """p is the orbit sum of its partition-exponent terms."""
+    return p.terms == _orbit_sum(_cone(p.terms))
 
 
-def _strips(kappa: tuple, outer: tuple):
-    """Every kappa' with kappa'/kappa a horizontal strip inside outer."""
-    bounds = list(outer[:1]) + [min(o, k) for o, k in zip(outer[1:], kappa)]
-    return product(*(range(k, b + 1) for k, b in zip(kappa, bounds)))
+def _chains(inner: tuple, outer, n: int, cap: int) -> dict:
+    """{kappa(n): {(e_1..e_n): coefficient}}: the terms of degree <= cap
+    with e_1 >= ... >= e_n of the n-step chains from inner, by the
+    recursion of the module docstring.  With `outer`, each kappa(i) stays
+    inside it and the degree bound counts the cells still missing, so
+    only the entry of outer itself is complete; with `outer` None, kappa
+    grows by at most one row per step and every entry is complete.
+    """
+    lows = inner + (0,) * (n if outer is None else len(outer) - len(inner))
+    layer = {inner if outer is None else lows: {(): 1}}
+    for i in range(n):
+        grown = {}
+        for kappa, prefixes in layer.items():
+            size = sum(kappa)
+            missing = 0 if outer is None else sum(outer) - size
+            # room: strip plus extras fit under e_i and the cap; spare: the
+            # extras fit under the cap with the cells of outer kappa lacks
+            rooms = [(e, min(e[-1], cap - sum(e)) if i else cap,
+                      cap - sum(e) - missing, coef) for e, coef in prefixes.items()]
+            budget = max(room for _, room, _, _ in rooms)
+            if outer is None:  # a new row below kappa, the first unbounded
+                rows = kappa + (0,)
+                bounds = (rows[0] + budget,) + kappa
+            else:
+                rows = kappa
+                bounds = outer[:1] + tuple(map(min, outer[1:], kappa))
+            for nxt in product(*(range(k, min(b, k + budget) + 1)
+                                 for k, b in zip(rows, bounds))):
+                strip = sum(nxt) - size
+                if strip > budget:
+                    continue
+                m = sum(1 for k, lo, b in zip(kappa, lows, nxt[1:] + (0,)) if lo < k > b)
+                weights = [(-1) ** extra * comb(m, extra) for extra in range(m + 1)]
+                terms = grown.setdefault(
+                    nxt[:-1] if outer is None and not nxt[-1] else nxt, {})
+                for e, room, spare, coef in rooms:
+                    for extra in range(min(m, room - strip, spare) + 1):
+                        key = e + (strip + extra,)
+                        terms[key] = terms.get(key, 0) + weights[extra] * coef
+        layer = {kappa: kept for kappa, terms in grown.items()
+                 if (kept := {e: c for e, c in terms.items() if c})}
+    return layer
 
 
 # cap stays in the key: caching the exhaustive polynomial once and
@@ -183,60 +246,12 @@ def _strips(kappa: tuple, outer: tuple):
 # rest; the bound caps long-lived sessions
 @lru_cache(maxsize=4096)
 def _g_poly(outer: tuple, inner: tuple, n: int, cap: int) -> SparseIntPolynomial:
-    """Signed polynomial of outer/inner by the chain formula, terms to degree cap.
-
-    Step i of a chain inner = kappa(0) <= ... <= kappa(n) = outer adds a
-    horizontal strip and contributes x_i^{|kappa(i)/kappa(i-1)|}
-    (1 - x_i)^{m_i}, where m_i counts the rows j with
-    kappa(i-1)_j > inner_j and kappa(i)_{j+1} < kappa(i-1)_j.  The sum
-    is a memoized recursion on (i, kappa(i)): `tail` returns the terms
-    in x_{i+1}..x_n of every chain from kappa(i) to outer as
-    (exponents, degree, coefficient) triples.  The chain so far has
-    degree at least |kappa(i)/inner|, so the tail keeps only terms of
-    degree at most cap - |kappa(i)/inner|.
-    """
+    """Signed polynomial of outer/inner to degree cap: the orbit sum of
+    the partition-exponent terms that `_chains` gives for outer."""
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
-    rows = len(outer)
-    inner = inner + (0,) * (rows - len(inner))
-    base = sum(inner)
-    memo = {}
-
-    def tail(i: int, kappa: tuple) -> list:
-        if i == n:
-            return [((), 0, 1)] if kappa == outer else []
-        key = (i, kappa)
-        if key in memo:
-            return memo[key]
-        size = sum(kappa)
-        budget = cap - (size - base)
-        terms = {}
-        for nxt in _strips(kappa, outer):
-            strip = sum(nxt) - size
-            rest = tail(i + 1, nxt)
-            if not rest:
-                continue
-            below = nxt[1:] + (0,)
-            m = sum(1 for k, lo, b in zip(kappa, inner, below) if k > lo and b < k)
-            room = budget - strip
-            for extra in range(m + 1):
-                sign = (-1) ** extra * comb(m, extra)
-                head = (strip + extra,)
-                for exp, deg, coef in rest:
-                    if deg + extra > room:
-                        continue
-                    e = head + exp
-                    merged = terms.get(e, 0) + sign * coef
-                    if merged:
-                        terms[e] = merged
-                    else:
-                        del terms[e]
-        out = [(e, sum(e), c) for e, c in terms.items()]
-        memo[key] = out
-        return out
-
     return SparseIntPolynomial._trusted(
-        n, {e: c for e, _, c in tail(0, inner)}, cap)
+        n, _orbit_sum(_chains(inner, outer, n, cap).get(outer, {})), cap)
 
 
 def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
@@ -266,11 +281,9 @@ def schur_poly(outer, inner, n: int) -> SparseIntPolynomial:
     the cell count.  The result carries no cap: a product of two Schur
     polynomials keeps every degree.
     """
-    outer = as_partition(outer)
-    inner = as_partition(inner)
     cells = skew(outer, inner).num_cells()
     return SparseIntPolynomial._trusted(
-        int(n), _g_poly(outer.parts, inner.parts, int(n), cells).terms)
+        int(n), grothendieck_poly(outer, inner, n, cells).terms)
 
 
 @dataclass(frozen=True, eq=True)
@@ -385,45 +398,10 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
 @lru_cache(maxsize=64)
 def _dominant_table(n: int, cap: int) -> dict:
     """{nu.parts: G_nu at its partition exponents of degree <= cap}, for
-    every nu with at most n parts, by the chain recursion run forward.
-
-    Layer i maps kappa(i) to the terms {(e_1..e_i): coefficient} of every
-    chain from the empty partition to kappa(i).  With no inner shape m_i
-    needs only kappa(i-1) and kappa(i), so one run serves every outer
-    shape.  A prefix survives only while e_1 >= ... >= e_i and its degree
-    is at most cap: later steps only add, and an exponent vector is a
-    partition exactly when each of its prefixes is weakly decreasing.
-    """
-    layer = {(): {(): 1}}
-    for i in range(n):
-        grown = {}
-        for kappa, prefixes in layer.items():
-            # e_{i+1} is at most e_i and what the cap leaves
-            rooms = [(e, min(e[-1], cap - sum(e)) if i else cap, coef)
-                     for e, coef in prefixes.items()]
-            budget = max(room for _, room, _ in rooms)
-            size = sum(kappa)
-            rows = kappa + (0,)
-            bounds = (kappa[0] + budget if kappa else budget,) + kappa
-            for nxt in product(*(range(k, min(b, k + budget) + 1)
-                                 for k, b in zip(rows, bounds))):
-                strip = sum(nxt) - size
-                if strip > budget:
-                    continue
-                m = sum(1 for k, b in zip(kappa, nxt[1:]) if b < k)
-                weights = [(-1) ** extra * comb(m, extra) for extra in range(m + 1)]
-                terms = grown.setdefault(nxt if nxt[-1] else nxt[:-1], {})
-                for e, room, coef in rooms:
-                    for extra in range(min(m, room - strip) + 1):
-                        key = e + (strip + extra,)
-                        merged = terms.get(key, 0) + weights[extra] * coef
-                        if merged:
-                            terms[key] = merged
-                        else:
-                            del terms[key]
-        layer = {kappa: terms for kappa, terms in grown.items() if terms}
+    every nu with at most n parts: `_chains` from the empty partition
+    with no outer shape."""
     return {kappa: SparseIntPolynomial._trusted(n, terms, cap)
-            for kappa, terms in layer.items()}
+            for kappa, terms in _chains((), None, n, cap).items()}
 
 
 # a verify sweep asks for each unordered pair once per (n, cap); the
@@ -443,6 +421,6 @@ def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
                        grothendieck_poly(mu, (), n, cap), cap)
     if not is_symmetric(product):
         raise NotSymmetric(f"{product!r} is not symmetric up to degree {cap}")
-    cone = {e: c for e, c in product.terms.items() if all(map(ge, e, e[1:]))}
+    cone = _cone(product.terms)
     table = _dominant_table(n, cap)
     return _peel_to_cap(cone, n, cap, lambda nu: table[nu.parts])

@@ -17,7 +17,7 @@ from operator import add
 from . import grothendieck
 from .errors import DegreeError, DomainError, InternalInvariantError
 from .gtpatterns import (GTPattern, MarkedGTPattern, check_marks, omega,
-                         omega_inverse, upsilon, upsilon_inverse, validate)
+                         omega_inverse, upsilon, upsilon_inverse)
 from .shapes import Partition, as_partition, rotate, skew
 from .tableaux import (SetValuedFilling, enumerate_svt, is_lambda_dominant,
                        is_semistandard, weight)
@@ -193,18 +193,21 @@ def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight
         raise error(f"{what}: not {tuple(sub)}-dominant")
 
 
-def _marked_pattern(rows: tuple, marks, what: str) -> MarkedGTPattern:
-    """The marked pattern the gamma path computed; InternalInvariantError,
-    "<what> pattern invalid: ...", unless it is one."""
-    pattern = GTPattern._trusted(rows)
-    marks = frozenset(marks)
+def _marked_pattern(rows: tuple, marks, what: str, expand) -> tuple:
+    """The marked pattern the gamma path computed and its filling by
+    `expand` (`upsilon` or `omega`), whose strip engine is the one check
+    of the pattern; InternalInvariantError, "<what> pattern invalid: ...",
+    unless the marks are markable and the pattern is valid."""
+    marked = MarkedGTPattern._trusted(GTPattern._trusted(rows), frozenset(marks))
     try:
-        if not validate(pattern):
-            raise ValueError("pattern inequalities fail")
-        check_marks(rows, marks)
+        check_marks(rows, marked.marks)
     except ValueError as exc:
         raise InternalInvariantError(f"{what} pattern invalid: {exc}") from exc
-    return MarkedGTPattern._trusted(pattern, marks)
+    try:
+        return marked, expand(marked)
+    except DomainError as exc:
+        raise InternalInvariantError(
+            f"{what} pattern invalid: pattern inequalities fail") from exc
 
 
 def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
@@ -230,10 +233,8 @@ def _gamma(tableau: SetValuedFilling, q: CoefficientQuery) -> GammaTrace:
     y_rows = tuple(
         tuple(counts[n - i + j - 1][n - i] for j in range(1, i + 1))
         for i in range(1, n + 1))
-    contra = _marked_pattern(y_rows, ((n + 1 - j, i - j) for (i, j) in marked.marks),
-                             "relabelled")
-
-    image = omega(contra)
+    contra, image = _marked_pattern(
+        y_rows, ((n + 1 - j, i - j) for (i, j) in marked.marks), "relabelled", omega)
     _require_witness(image, q, "image", InternalInvariantError, straight=False)
     return GammaTrace(
         direction="gamma", query=q, tableau=tableau,
@@ -291,7 +292,8 @@ def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> Gamm
             grid[a - 1][col - 1] -= 1
 
     # each column operation's position is a mark of the straight pattern
-    straight = _marked_pattern(tuple(tuple(row) for row in grid), ops, "decremented")
+    straight, tableau = _marked_pattern(tuple(tuple(row) for row in grid), ops,
+                                        "decremented", upsilon)
     bottom = straight.pattern.rows[-1] if n else ()
     if Partition(bottom) != q.mu:
         raise InternalInvariantError(
@@ -305,7 +307,7 @@ def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> Gamm
         for i in range(1, n + 1))
 
     return GammaTrace(
-        direction="gamma_inverse", query=q, tableau=upsilon(straight),
+        direction="gamma_inverse", query=q, tableau=tableau,
         tableau_pattern=straight.pattern, tableau_marks=straight.marks,
         contra_pattern=z, contra_marks=marked.marks,
         contratableau=contratableau,

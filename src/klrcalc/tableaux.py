@@ -101,15 +101,15 @@ def is_semistandard(filling: SetValuedFilling) -> bool:
 
 def weight(filling: SetValuedFilling, n=None) -> tuple:
     """Multiplicity vector: component i-1 counts the cells containing i."""
-    top = max((max(vals) for vals in filling.entries.values()), default=0)
-    if n is None:
-        n = top
-    elif top > n:
-        raise ValueError(f"entry {top} exceeds requested length {n}")
-    counts = [0] * n
-    for vals in filling.entries.values():
-        for v in vals:
-            counts[v - 1] += 1
+    values = filling.entries.values()
+    counts = [0] * (max(map(max, values), default=0) if n is None else n)
+    try:
+        for vals in values:
+            for v in vals:
+                counts[v - 1] += 1
+    except IndexError:  # entries are positive, so some entry exceeds n
+        top = max(map(max, values))
+        raise ValueError(f"entry {top} exceeds requested length {n}") from None
     return tuple(counts)
 
 

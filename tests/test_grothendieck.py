@@ -204,6 +204,10 @@ def test_is_symmetric():
     assert is_symmetric(grothendieck_poly((2, 1), (), 3))
     assert not is_symmetric(X1)
     assert is_symmetric(SparseIntPolynomial(4, {(0, 0, 0, 0): 7}))
+    # an orbit missing a member, unequal coefficients, a lone non-partition term
+    assert not is_symmetric(SparseIntPolynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1}))
+    assert not is_symmetric(SparseIntPolynomial(2, {(1, 0): 1, (0, 1): 2}))
+    assert not is_symmetric(X2)
 
 
 def test_expand_g_basis_element():
@@ -364,11 +368,13 @@ def test_chain_recursion_matches_enumeration():
             if not contains(inner, outer):
                 continue
             cells = outer.size() - inner.size()
-            for n in range(1, 5):
-                caps = sorted({cells, cells + 2, n * cells})
+            for n in range(5):
+                caps = sorted({cells, cells + 2, max(n, 1) * cells})
                 for cap, expected in zip(caps, g_poly_by_enumeration(outer, inner, n, caps)):
                     got = grothendieck_poly(outer, inner, n, cap)
                     assert got == expected, (outer, inner, n, cap)
+                    if n == 0:  # the empty chain, which reaches outer only from itself
+                        assert got.terms == ({(): 1} if outer == inner else {})
                     checked += 1
     assert checked > 1000
     # the oracle's forward table: every G_nu with at most n parts and

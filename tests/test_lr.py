@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import worked_examples as wx
@@ -5,10 +7,10 @@ from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
                      InternalInvariantError, Partition, SetValuedFilling,
                      buch_tableaux, coeff_buch, coeff_classical, coeff_contra,
                      coeff_oracle, contra_tableaux, enumerate_svt, gamma,
-                     gamma_inverse, is_lambda_dominant, partitions_up_to,
-                     rotate, skew, total_entries, upsilon_inverse, weight,
-                     witness_lists)
-from klrcalc import grothendieck, lr, verify
+                     gamma_inverse, is_lambda_dominant, omega,
+                     partitions_up_to, rotate, skew, total_entries, upsilon,
+                     upsilon_inverse, weight, witness_lists)
+from klrcalc import grothendieck, gtpatterns, lr, verify
 
 
 def final_query():
@@ -167,9 +169,39 @@ def test_gamma_inverse_closes_its_round_trip(monkeypatch):
     (((1,), (2, 2)), [], "decremented", "pattern inequalities fail"),
 ])
 def test_gamma_path_pattern_checks_name_the_step(rows, marks, what, detail):
+    expand = {"relabelled": omega, "decremented": upsilon}[what]
     with pytest.raises(InternalInvariantError) as info:
-        lr._marked_pattern(rows, marks, what)
+        lr._marked_pattern(rows, marks, what, expand)
     assert str(info.value) == f"{what} pattern invalid: {detail}"
+
+
+def _validated_patterns(run):
+    """The pattern of every call to `gtpatterns.validate` while `run`
+    runs, whatever name the caller reaches it by."""
+    code, seen = gtpatterns.validate.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            seen.append(frame.f_locals["pattern"])
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_gamma_path_validates_each_pattern_once():
+    # gamma: the recovered and the relabelled pattern; gamma_inverse: the
+    # recovered and the decremented one, then the same two for its round
+    # trip through gamma.  Expanding a pattern does not check it again
+    q = final_query()
+    for run, count in ((lambda: gamma(wx.t1(), q), 2),
+                       (lambda: gamma_inverse(wx.s1(), q), 4)):
+        seen = _validated_patterns(run)
+        assert len(seen) == count
+        assert len({id(p) for p in seen}) == count
 
 
 def test_check_rules_sees_a_broken_gamma_inverse(monkeypatch):

@@ -30,6 +30,12 @@ def test_weight_and_total_entries():
     assert weight(out) == (2, 2, 3, 4)
     assert total_entries(out) == 11
     assert total_entries(superstandard((4, 2))) == 6
+    # the message names the largest entry, not the first one past n
+    wide = SetValuedFilling.from_rows(skew((2,)), [[{1, 4}, {5}]])
+    assert weight(wide) == (1, 0, 0, 1, 1)
+    with pytest.raises(ValueError) as info:
+        weight(wide, 3)
+    assert str(info.value) == "entry 5 exceeds requested length 3"
 
 
 def test_reading_words():
