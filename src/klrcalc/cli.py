@@ -99,7 +99,7 @@ def _cmd_coeff(args) -> int:
     table = {"buch": lr.coeff_buch, "contra": lr.coeff_contra, "oracle": lr.coeff_oracle}
     rules = tuple(table) if args.rule == "all" else (args.rule,)
     if "oracle" in rules:
-        _max_cap_guard(max(query.nu.size(), query.lam.size() + query.mu.size()))
+        _max_cap_guard(query.cap)
     values = [table[rule](query) for rule in rules]
     if args.rule != "all":
         print(values[0])

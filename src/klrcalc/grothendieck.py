@@ -41,9 +41,10 @@ monomial of a partition occurs in the basis element of another
 partition only when the latter dominates the former, so scanning
 partitions largest-first makes the change of basis triangular.  The
 oracle peels a product on the dominant cone alone, against
-`_dominant_table(n, cap)`.  That is exact: the product is checked
-symmetric and every G_nu is symmetric, so the residual is symmetric,
-and a nonzero symmetric polynomial has a nonzero partition monomial.
+`_dominant_table(n, cap)`, whose entries also give its two factors.
+That is exact: the product is checked symmetric and every G_nu is
+symmetric, so the residual is symmetric, and a nonzero symmetric
+polynomial has a nonzero partition monomial.
 """
 
 from __future__ import annotations
@@ -204,6 +205,8 @@ def _chains(inner: tuple, outer, n: int, cap: int) -> dict:
     only the entry of outer itself is complete; with `outer` None, kappa
     grows by at most one row per step and every entry is complete.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     lows = inner + (0,) * (n if outer is None else len(outer) - len(inner))
     layer = {inner if outer is None else lows: {(): 1}}
     for i in range(n):
@@ -241,15 +244,13 @@ def _chains(inner: tuple, outer, n: int, cap: int) -> dict:
 
 
 # cap stays in the key: caching the exhaustive polynomial once and
-# truncating it per cap costs more memory than rebuilding per cap.  The
-# oracle asks here only for its two factors, the public builders for the
-# rest; the bound caps long-lived sessions
+# truncating it per cap costs more memory than rebuilding per cap.  Only
+# the public builders and the reference peel of `expand_in_g_basis` ask
+# here, not the oracle; the bound caps long-lived sessions
 @lru_cache(maxsize=4096)
 def _g_poly(outer: tuple, inner: tuple, n: int, cap: int) -> SparseIntPolynomial:
     """Signed polynomial of outer/inner to degree cap: the orbit sum of
     the partition-exponent terms that `_chains` gives for outer."""
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n}")
     return SparseIntPolynomial._trusted(
         n, _orbit_sum(_chains(inner, outer, n, cap).get(outer, {})), cap)
 
@@ -408,8 +409,8 @@ def _dominant_table(n: int, cap: int) -> dict:
 # bound caps long-lived sessions, as _g_poly's does
 @lru_cache(maxsize=1024)
 def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
-    """G_lam * G_mu peeled on the dominant cone, basis elements read from
-    `_dominant_table(n, cap)`.
+    """G_lam * G_mu peeled on the dominant cone, the factors (orbit sums;
+    0 past n parts) and basis elements read from `_dominant_table(n, cap)`.
 
     The product is checked symmetric with the text of `expand_in_g_basis`,
     then only its partition monomials are peeled; by the module docstring
@@ -417,10 +418,15 @@ def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
     when a basis element is wrong.  ResidualNonzero then names the lowest
     partition monomial left, in its degree.
     """
-    product = multiply(grothendieck_poly(lam, (), n, cap),
-                       grothendieck_poly(mu, (), n, cap), cap)
-    if not is_symmetric(product):
-        raise NotSymmetric(f"{product!r} is not symmetric up to degree {cap}")
-    cone = _cone(product.terms)
+    for cells in (sum(lam), sum(mu)):
+        if cap < cells:
+            raise ValueError(f"cap {cap} is below the cell count {cells}")
     table = _dominant_table(n, cap)
+    first, second = (SparseIntPolynomial._trusted(
+        n, _orbit_sum(table[parts].terms) if parts in table else {}, cap)
+        for parts in (lam, mu))
+    product = multiply(first, second, cap)
+    cone = _cone(product.terms)
+    if product.terms != _orbit_sum(cone):
+        raise NotSymmetric(f"{product!r} is not symmetric up to degree {cap}")
     return _peel_to_cap(cone, n, cap, lambda nu: table[nu.parts])

@@ -10,7 +10,7 @@ Both are one strip engine in two orientations, placed by `_frame`.
 Straight: pass i writes i, and pattern row j is shape row j read from
 the left.  Rotated: pass i writes n+1-i, and pattern row j is bottom-row
 j read from the right.  The passes depend on the pattern alone, so
-`_strips_of` validates a pattern and runs them once per orientation,
+`_strips_of` validates a pattern once and runs them once per orientation,
 keeping the unmarked cells in the pattern's own `_strips` slot; `_expand`
 copies them and adds the marks of each marking.  `upsilon_inverse` and
 `omega_inverse` read the cells through the same frame, and `_contract`
@@ -187,13 +187,16 @@ def _frame(parts: tuple, rotated: bool) -> tuple:
 def _strips_of(pattern: GTPattern, rotated: bool) -> tuple:
     """(shape, sign, row0, col0, entries) of `pattern` expanded in one
     orientation with no marks, placed by `_frame`; DomainError unless the
-    pattern is valid.  Built and validated once per orientation, then kept
-    in the pattern's `_strips` slot; a pattern that fails keeps nothing."""
+    pattern is valid.  Validated once per pattern and built once per
+    orientation, then kept in the pattern's `_strips` slot; a pattern that
+    fails keeps nothing."""
     memo = getattr(pattern, "_strips", None)
-    if memo is not None and memo[rotated] is not None:
+    if memo is None:
+        if not validate(pattern):
+            raise DomainError(f"invalid pattern {pattern!r}")
+        memo = pattern._strips = [None, None]
+    elif memo[rotated] is not None:
         return memo[rotated]
-    if not validate(pattern):
-        raise DomainError(f"invalid pattern {pattern!r}")
     rows = pattern.rows
     n = len(rows)
     shape, sign, row0, col0 = _frame(rows[-1] if n else (), rotated)
@@ -205,8 +208,6 @@ def _strips_of(pattern: GTPattern, rotated: bool) -> tuple:
             have = above[j - 1] if j < i else 0
             for c in range(have + 1, width + 1):
                 entries[(row0 + sign * j, col0 + sign * c)] = label
-    if memo is None:
-        memo = pattern._strips = [None, None]
     memo[rotated] = strips = (shape, sign, row0, col0, entries)
     return strips
 

@@ -49,6 +49,11 @@ class CoefficientQuery:
             raise DomainError(f"n={self.n} smaller than a partition length")
 
     @property
+    def cap(self) -> int:
+        """max(|nu|, |lam| + |mu|): the degree to which the oracle peels."""
+        return max(self.nu.size(), self.lam.size() + self.mu.size())
+
+    @property
     def sign(self) -> int:
         """(-1)^{|nu|-|lam|-|mu|}, the sign of the nu term of the G-basis product."""
         return -1 if (self.nu.size() - self.lam.size() - self.mu.size()) % 2 else 1
@@ -126,16 +131,14 @@ def coeff_classical(query: CoefficientQuery) -> int:
     return sum(1 for _ in contra_tableaux(query, singleton=True))
 
 
-def coeff_oracle(query: CoefficientQuery, cap=None) -> int:
+def coeff_oracle(query: CoefficientQuery) -> int:
     """Coefficient read off the polynomial product, sign normalized.
 
     Computed entirely by monomial arithmetic and basis peeling, so it is
     independent of the two counting rules.  The sign normalization makes
     a sign bug show up as a disagreement instead of hiding in abs().
     """
-    if cap is None:
-        cap = max(query.nu.size(), query.lam.size() + query.mu.size())
-    expansion = grothendieck.expand_product(query.lam, query.mu, query.n, cap)
+    expansion = grothendieck.expand_product(query.lam, query.mu, query.n, query.cap)
     return query.sign * expansion.coefficient(query.nu)
 
 
@@ -243,12 +246,6 @@ def _gamma(tableau: SetValuedFilling, q: CoefficientQuery) -> GammaTrace:
         contratableau=image, prefix_counts=counts)
 
 
-def _mark_order(position):
-    # (i, j) before (i', j') iff i > i', then smaller j first
-    i, j = position
-    return (-i, j)
-
-
 def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
     """Map a dominant rotated-shape witness back to the straight side.
 
@@ -284,8 +281,9 @@ def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> Gamm
               for j in range(1, i + 1))
         for i in range(1, n + 1))
 
+    # mark order: (i, j) before (i', j') iff i > i', then smaller j first
     ops = tuple((n + 1 - i + j, n + 1 - i)
-                for (i, j) in sorted(marked.marks, key=_mark_order))
+                for (i, j) in sorted(marked.marks, key=lambda m: (-m[0], m[1])))
     grid = [list(row) for row in slack]
     for (k, col) in ops:
         for a in range(k, n + 1):

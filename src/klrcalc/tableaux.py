@@ -227,32 +227,23 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
        rows that can hold v-1).
     """
     n = int(n)
-    cells = shape.cells()
-    ncells = len(cells)
-
-    target = None
-    target_sum = 0
-    if weight_filter is None:
-        w, budget = n, [0] + [ncells] * n
-    else:
+    target, target_sum, w = None, 0, n
+    if weight_filter is not None:
         target = tuple(int(t) for t in weight_filter)
         if any(t < 0 for t in target) or any(target[n:]):
             return
         target_sum = sum(target)
         w = min(n, len(target))
-        budget = [0] + list(target[:w]) + [0] * (n - w)
 
-    span, cap, row_of, upto = _capacity_tables(cells, w)
+    cells, left, up, row_start, span, cap, row_of, upto = _plan(shape, w)
+    ncells = len(cells)
+    budget = [0] + ([ncells] * n if target is None else list(target[:w]) + [0] * (n - w))
     if not all(span) or target is not None and any(
             target[v - 1] > cap[0][v] for v in range(1, w + 1)):
         return
 
-    index = {cell: i for i, cell in enumerate(cells)}
-    left = [index.get((r, c - 1)) for (r, c) in cells]
-    up = [index.get((r - 1, c)) for (r, c) in cells]
     # lam padded with zeros, so the room of every v can index it directly
     lam = None if dominant_for is None else as_partition(dominant_for).parts + (0,) * n
-    row_start = [i == 0 or cells[i][0] != cells[i - 1][0] for i in range(ncells)]
     per_cell = 1 if singleton else n
     masks = [0] * ncells
     counts = [0] * (n + 1)
@@ -339,33 +330,39 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     yield from fill(0, 0, budget)
 
 
-def _capacity_tables(cells, w):
-    """Tables of the cuts of `enumerate_svt`, for values 1..w.
+# searches meet the same few shapes again and again
+@lru_cache(maxsize=1024)
+def _plan(shape: SkewShape, w: int) -> tuple:
+    """(cells, left, up, row_start, span, cap, row_of, upto): the cells of
+    `shape` and the tables of `enumerate_svt`'s cuts for values 1..w, built
+    in one pass and kept as tuples, so that every search shares them.
 
-    `span[i]` is the bitmask of the values cell i can hold in a strictly
-    increasing column, `cap[i][v]` the number of distinct columns among
-    cells i.. whose span holds v, `row_of[i]` the index of cell i's row
-    among the rows with cells, and `upto[k][v]` the number of cells in the
-    rows before row k whose span holds v (k = 0 .. the number of rows).
+    `left[i]` and `up[i]` index cell i's neighbours (None if absent),
+    `row_start[i]` says whether cell i opens its row, `span[i]` is the
+    bitmask of the values cell i can hold in a strictly increasing column,
+    `cap[i][v]` the number of distinct columns among cells i.. whose span
+    holds v, `row_of[i]` the index of cell i's row among the rows with
+    cells, and `upto[k][v]` the number of cells in the rows before row k
+    whose span holds v (k = 0 .. the number of rows).
     """
-    height = {}
-    for _, c in cells:
-        height[c] = height.get(c, 0) + 1
-    span = []
-    row_of = []
+    cells = tuple(shape.cells())
+    outer, inner = shape.outer.parts, shape.inner.parts
+    index, left, up, row_start, span, row_of = {}, [], [], [], [], []
     upto = [[0] * (w + 1)]
-    placed = {}
     for i, (r, c) in enumerate(cells):
-        above = placed.get(c, 0)
-        placed[c] = above + 1
-        top = w - (height[c] - 1 - above)
+        index[r, c] = i
+        left.append(index.get((r, c - 1)))
+        up.append(index.get((r - 1, c)))
+        # column c holds rows #(inner parts >= c) + 1 .. #(outer parts >= c)
+        above = r - 1 - sum(p >= c for p in inner)
+        top = w - sum(p >= c for p in outer[r:])
         span.append(((1 << top) - 1) >> above << above if top > above else 0)
-        if i == 0 or r != cells[i - 1][0]:
+        row_start.append(i == 0 or r != cells[i - 1][0])
+        if row_start[-1]:
             upto.append(list(upto[-1]))  # counts this row on top of those before
         row_of.append(len(upto) - 2)
-        counts = upto[-1]
         for v in range(above + 1, top + 1):
-            counts[v] += 1
+            upto[-1][v] += 1
 
     running = [0] * (w + 1)
     cap = [tuple(running)]
@@ -379,4 +376,5 @@ def _capacity_tables(cells, w):
             new &= new - 1
         cap.append(tuple(running))
     cap.reverse()
-    return span, cap, row_of, upto
+    return (cells, tuple(left), tuple(up), tuple(row_start), tuple(span), tuple(cap),
+            tuple(row_of), tuple(map(tuple, upto)))

@@ -149,19 +149,14 @@ def shrink_instance(instance: tuple, still_fails) -> tuple:
     at a time.
     """
     current = instance
-    progress = True
-    while progress:
-        progress = False
-        for slot in range(len(current)):
-            for smaller in _shrink_partitions(current[slot]):
-                candidate = current[:slot] + (smaller,) + current[slot + 1:]
-                if still_fails(candidate):
-                    current = candidate
-                    progress = True
-                    break
-            if progress:
-                break
-    return current
+    while True:
+        candidates = (current[:slot] + (smaller,) + current[slot + 1:]
+                      for slot in range(len(current))
+                      for smaller in _shrink_partitions(current[slot]))
+        step = next((c for c in candidates if still_fails(c)), None)
+        if step is None:
+            return current
+        current = step
 
 
 def _run_check(check_name: str, *args) -> str:

@@ -324,6 +324,17 @@ def test_word_missing_file_exit_code(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_coeff_max_cap_guard_reads_the_oracle_cap(capsys, monkeypatch):
+    # the worked example's oracle cap is max(|nu|, |lam| + |mu|) = 13
+    query = ["coeff", "--lambda", "3,2,1", "--mu", "3,1", "--nu", "4,4,3,2"]
+    monkeypatch.setenv("KLR_MAX_CAP", "12")
+    assert run(capsys, *query, "--rule", "all") == (
+        1, "", "error: cap 13 exceeds KLR_MAX_CAP=12\n")
+    assert run(capsys, *query, "--rule", "buch") == (0, "2\n", "")
+    monkeypatch.setenv("KLR_MAX_CAP", "13")
+    assert run(capsys, *query, "--rule", "all") == (0, "buch=2 contra=2 oracle=2 AGREE\n", "")
+
+
 def test_bad_max_cap_env_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("KLR_MAX_CAP", "abc")
     code, out, err = run(capsys, "coeff", "--lambda", "1", "--mu", "1",

@@ -300,6 +300,43 @@ def test_expand_product_matches_full_peel():
     assert checked > 400
 
 
+def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
+    # the factors come from the table the peel reads, so the oracle works
+    # with the public builders' cache patched to raise
+    cases = [(lam.parts, mu.parts, n, lam.size() + mu.size() + 2)
+             for lam in partitions_up_to(3) for mu in partitions_up_to(3)
+             for n in range(4)]
+    grothendieck._expand_product.cache_clear()
+    expected = [grothendieck.expand_product(*case).coeffs for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("the oracle built a basis polynomial of its own")
+
+    monkeypatch.setattr(grothendieck, "_g_poly", refuse)
+    grothendieck._expand_product.cache_clear()
+    assert [grothendieck.expand_product(*case).coeffs for case in cases] == expected
+    assert any(len(lam) > n and not coeffs
+               for (lam, _, n, _), coeffs in zip(cases, expected))
+
+
+def test_expand_product_argument_errors():
+    with pytest.raises(ValueError) as info:
+        grothendieck.expand_product((1,), (1,), -1, 2)
+    assert str(info.value) == "n must be at least 0, got -1"
+    with pytest.raises(ValueError) as info:
+        grothendieck.expand_product((3,), (1,), 2, 2)
+    assert str(info.value) == "cap 2 is below the cell count 3"
+
+
+def test_expand_in_g_basis_of_an_uncapped_polynomial():
+    # a product with no cap is peeled to its largest degree
+    s1 = schur_poly((1,), (), 2)
+    product = multiply(s1, s1)
+    assert product.cap is None
+    got = expand_in_g_basis(product)
+    assert {nu.parts: c for nu, c in got.coeffs.items()} == {(2,): 1, (1, 1): 1}
+
+
 def test_expand_schur_basis():
     prod = multiply(schur_poly((1,), (), 2), schur_poly((1,), (), 2))
     expansion = expand_in_schur_basis(prod)

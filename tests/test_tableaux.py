@@ -8,6 +8,7 @@ from klrcalc import (SetValuedFilling, column_word, contains, enumerate_svt,
                      is_dominant, is_lambda_dominant, is_semistandard,
                      partitions_up_to, rotate, row_word, skew, superstandard,
                      total_entries, weight)
+from klrcalc import tableaux
 
 
 def test_semistandard_examples():
@@ -268,6 +269,17 @@ def test_search_node_counts(shape, n, kwargs, nodes, count):
     # keeps the stream but visits more nodes
     stream, runs = _search_nodes(shape, n, **kwargs)
     assert (runs, len(stream)) == (nodes, count)
+
+
+def test_search_plan_is_built_once_per_shape_and_width():
+    # an equal shape built anew and a weight as long as n share the plan
+    tableaux._plan.cache_clear()
+    first = list(enumerate_svt(skew((3, 2), (1,)), 3))
+    assert list(enumerate_svt(skew((3, 2), (1,)), 3)) == first
+    list(enumerate_svt(skew((3, 2), (1,)), 3, weight_filter=(1, 2, 1)))
+    list(enumerate_svt(skew((3, 2), (1,)), 3, weight_filter=(2, 2)))  # w = 2
+    info = tableaux._plan.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_weight_total_equals_entry_count():
