@@ -21,13 +21,13 @@ Summing those choices independently gives
 `_chains` is the one recursion, run forward: layer i maps kappa(i) to
 the terms in x_1..x_i of every chain from inner to kappa(i), and it
 keeps only prefixes e_1 >= ... >= e_i, since an exponent vector is a
-partition exactly when each of its prefixes is weakly decreasing.  Two
-bounds keep the layers small.  The degree bound drops a prefix once its
-degree plus the cells of outer that kappa(i) still lacks passes the cap;
-later steps only add.  The shape bound keeps each kappa(i) inside outer;
-with no outer shape kappa grows by one row per step instead, so one run
-from the empty partition gives every basis element G_nu at once.  That
-run is `_dominant_table`.
+partition exactly when each of its prefixes is weakly decreasing.  One
+growth rule: each step adds a horizontal strip, so at most one new row,
+and row j+1 stays at most the old row j.  From the empty partition it
+gives every basis element G_nu in one run, `_dominant_table`.  The
+degree bound drops a prefix once its degree plus the cells of outer
+kappa(i) lacks passes the cap; later steps only add.  An outer shape
+only clips: outer less its top n - i rows <= kappa(i) <= outer.
 
 The sum is symmetric in x_1..x_n for skew shapes too (Buch, Acta Math.
 189, 2002, treats these skew sums; the tests check the result against
@@ -56,7 +56,7 @@ from math import comb
 from operator import ge, itemgetter
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
-from .shapes import Partition, as_partition, partitions, skew
+from .shapes import Partition, as_partition, contains, partitions, skew
 
 
 class SparseIntPolynomial:
@@ -200,15 +200,19 @@ def is_symmetric(p: SparseIntPolynomial) -> bool:
 def _chains(inner: tuple, outer, n: int, cap: int) -> dict:
     """{kappa(n): {(e_1..e_n): coefficient}}: the terms of degree <= cap
     with e_1 >= ... >= e_n of the n-step chains from inner, by the
-    recursion of the module docstring.  With `outer`, each kappa(i) stays
-    inside it and the degree bound counts the cells still missing, so
-    only the entry of outer itself is complete; with `outer` None, kappa
-    grows by at most one row per step and every entry is complete.
+    recursion of the module docstring; with `outer` None every entry is
+    complete.  An outer shape only clips: with s steps left, outer[s:] <=
+    kappa <= outer row by row, since no strip lets row j+1 pass the old
+    row j, and the degree bound counts the cells kappa lacks.  A chain
+    that falls behind dies there, so outer is the only key left.
     """
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
-    lows = inner + (0,) * (n if outer is None else len(outer) - len(inner))
-    layer = {inner if outer is None else lows: {(): 1}}
+    lows = inner + (0,) * n
+    layer = {inner: {(): 1}}
+    if outer is not None:  # the start is clipped like every later layer
+        padded = outer + (0,) * (n + 1)
+        layer = layer if contains(outer[n:], inner) else {}
     for i in range(n):
         grown = {}
         for kappa, prefixes in layer.items():
@@ -219,21 +223,17 @@ def _chains(inner: tuple, outer, n: int, cap: int) -> dict:
             rooms = [(e, min(e[-1], cap - sum(e)) if i else cap,
                       cap - sum(e) - missing, coef) for e, coef in prefixes.items()]
             budget = max(room for _, room, _, _ in rooms)
-            if outer is None:  # a new row below kappa, the first unbounded
-                rows = kappa + (0,)
-                bounds = (rows[0] + budget,) + kappa
-            else:
-                rows = kappa
-                bounds = outer[:1] + tuple(map(min, outer[1:], kappa))
-            for nxt in product(*(range(k, min(b, k + budget) + 1)
-                                 for k, b in zip(rows, bounds))):
+            rows = kappa + (0,)
+            tops = [min(b, k + budget) for k, b in zip(rows, (rows[0] + budget,) + kappa)]
+            if outer is not None:  # s = n - i - 1 steps left after this one
+                tops, rows = map(min, tops, padded), map(max, rows, padded[n - i - 1:])
+            for nxt in product(*map(range, rows, [t + 1 for t in tops])):
                 strip = sum(nxt) - size
                 if strip > budget:
                     continue
-                m = sum(1 for k, lo, b in zip(kappa, lows, nxt[1:] + (0,)) if lo < k > b)
+                m = sum(1 for k, lo, b in zip(kappa, lows, nxt[1:]) if lo < k > b)
                 weights = [(-1) ** extra * comb(m, extra) for extra in range(m + 1)]
-                terms = grown.setdefault(
-                    nxt[:-1] if outer is None and not nxt[-1] else nxt, {})
+                terms = grown.setdefault(nxt if nxt[-1] else nxt[:-1], {})
                 for e, room, spare, coef in rooms:
                     for extra in range(min(m, room - strip, spare) + 1):
                         key = e + (strip + extra,)

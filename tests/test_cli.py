@@ -143,6 +143,27 @@ def test_bijection_domain_error_exit_code(capsys, tmp_path):
     assert out == "" and "domain" in err.lower()
 
 
+def test_bijection_gamma_names_a_negative_weight(capsys, tmp_path):
+    # nu = (1, 1) lies below lam = (2,), so no filling is a witness
+    path = tmp_path / "t.json"
+    path.write_text('{"outer":[1],"rows":[[[1]]]}')
+    assert run(capsys, "bijection", "--direction", "gamma", "--input", str(path),
+               "--lambda", "2", "--mu", "1", "--nu", "1,1", "--n", "3") == (
+        3, "", "domain error: nu - lam has a negative entry\n")
+
+
+@pytest.mark.parametrize("argv, text, err", [
+    (["bijection", "--direction", "upsilon"], '{"rows":[[1]],"marks":5}',
+     'error: "marks" must be a list of [i, j] pairs\n'),
+    (["word"], '{"outer":[2,1],"rows":[[[1],[1]]]}',
+     "error: not a filling: expected 2 rows, got 1\n"),
+])
+def test_malformed_input_error_texts(capsys, tmp_path, argv, text, err):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(capsys, *argv, "--input", str(path)) == (1, "", err)
+
+
 @pytest.mark.parametrize("outer, inner", [((3, 2), (1,)), ((3, 3, 1), (1,)),
                                           ((3, 3), (1, 1))])
 def test_bijection_omega_inv_rejects_non_rotated_shapes(capsys, tmp_path, outer, inner):

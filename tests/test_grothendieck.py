@@ -281,6 +281,24 @@ def test_expand_product_residual_message(monkeypatch):
     assert str(info.value) == "degree 3 did not clear; lowest monomial (2, 1)"
 
 
+def test_expand_product_reports_an_asymmetric_product(monkeypatch):
+    # the oracle peels the product's partition monomials alone, which is
+    # exact only for a symmetric product; a product that lost x2^2 must
+    # be refused before the peel, not peeled to wrong coefficients
+    real = grothendieck.multiply
+
+    def lossy(a, b, cap=None):
+        p = real(a, b, cap)
+        return SparseIntPolynomial(p.n, {e: c for e, c in p.terms.items()
+                                         if e != (0, 2)}, p.cap)
+
+    monkeypatch.setattr(grothendieck, "multiply", lossy)
+    grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
+    with pytest.raises(NotSymmetric) as info:
+        grothendieck.expand_product((1,), (1,), 2, 2)
+    assert str(info.value) == "<poly n=2 terms=2 cap=2> is not symmetric up to degree 2"
+
+
 def test_expand_product_matches_full_peel():
     # the dominant-cone peel against the public full peel, at a cap past
     # the product's lowest degree and at one below it; l(lam) > n included
@@ -428,6 +446,23 @@ def test_chain_recursion_matches_enumeration():
                 assert got == expected, (nu, n, cap)
                 checked += bool(expected)
     assert checked > 250
+
+
+def test_chains_with_an_outer_shape_end_only_at_outer():
+    # the clip outer[s:] <= kappa <= outer, s steps left, ends every chain
+    # that cannot reach outer where it falls behind, the start included,
+    # so no other kappa(n) is built and dropped afterwards
+    checked = 0
+    for outer in partitions_up_to(6):
+        for inner in partitions_up_to(3):
+            if not contains(inner, outer):
+                continue
+            cells = outer.size() - inner.size()
+            for n in range(5):
+                got = grothendieck._chains(inner.parts, outer.parts, n, cells + 3)
+                assert set(got) <= {outer.parts}, (outer, inner, n)
+                checked += bool(got)
+    assert checked == 478
 
 
 def test_exhaustive_large_shape():

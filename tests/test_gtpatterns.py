@@ -16,7 +16,7 @@ from klrcalc import (DomainError, GTPattern, MarkedGTPattern, NotRotatedShape,
                      partitions_up_to, rotate, skew, superstandard,
                      total_entries, upsilon, upsilon_inverse, validate, weight,
                      weight_reversal_check)
-from klrcalc import gtpatterns, verify
+from klrcalc import gtpatterns, tableaux, verify
 
 
 def test_validate_examples():
@@ -248,6 +248,42 @@ def test_check_bijections_sees_a_replaced_forward_map(monkeypatch, name):
 
     monkeypatch.setattr(gtpatterns, name, broken)
     assert verify.check_bijections((2,), 2) == f"{name} not injective on (2,), n=2"
+
+
+def test_check_bijections_reports_a_short_universe(monkeypatch):
+    # an injective image must be the whole filling family; the text gives
+    # both counts
+    real = tableaux.enumerate_svt
+    monkeypatch.setattr(tableaux, "enumerate_svt",
+                        lambda shape, n: list(real(shape, n))[:-1])
+    assert verify.check_bijections((2,), 2) == (
+        "upsilon image has 5 fillings, universe has 4 for (2,), n=2")
+
+
+@pytest.mark.parametrize("name, detail", [
+    ("total_entries", "mark/singleton restriction failed on "),
+    ("weight", "weight reversal failed on "),
+])
+def test_check_bijections_reports_a_broken_image_statistic(monkeypatch, name, detail):
+    # the images themselves are right; a statistic misread on one image of
+    # the marked victim must still name it: its straight image read as one
+    # entry per cell, its rotated image read with an extra entry 1
+    victim = MarkedGTPattern(GTPattern([(2,), (2, 1)]), [(2, 1)])
+    real = getattr(tableaux, name)
+    if name == "total_entries":
+        image = upsilon(victim)
+
+        def broken(f):
+            return f.num_cells() if f == image else real(f)
+    else:
+        image = omega(victim)
+
+        def broken(f, n=None):
+            w = real(f, n)
+            return (w[0] + 1,) + w[1:] if f == image else w
+    assert verify.check_bijections((2, 1), 2) == ""
+    monkeypatch.setattr(tableaux, name, broken)
+    assert verify.check_bijections((2, 1), 2) == f"{detail}{victim!r}"
 
 
 def _rebuilt(filling):

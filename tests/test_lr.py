@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -213,6 +214,38 @@ def test_check_rules_sees_a_broken_gamma_inverse(monkeypatch):
                         lambda s, query: real(swap.get(s, s), query))
     assert verify.check_rules(wx.FINAL_LAM, wx.FINAL_MU, 4) == (
         f"gamma round trip failed at {(wx.FINAL_LAM, wx.FINAL_MU, wx.FINAL_NU)}")
+
+
+@pytest.mark.parametrize("image_of_t2, detail", [
+    (lambda real, q: real(wx.t1(), q).contratableau, "gamma not injective at "),
+    (lambda real, q: wx.t2(), "gamma not onto at "),
+], ids=["not-injective", "not-onto"])
+def test_check_rules_sees_a_broken_gamma(monkeypatch, image_of_t2, detail):
+    # a gamma that sends t2 where t1 goes, or to a filling that is no
+    # contratableau (t2 itself), must fail the sweep at the worked example
+    real = lr.gamma
+
+    def broken(t, query):
+        trace = real(t, query)
+        if t != wx.t2():
+            return trace
+        return replace(trace, contratableau=image_of_t2(real, query))
+
+    monkeypatch.setattr(lr, "gamma", broken)
+    assert verify.check_rules(wx.FINAL_LAM, wx.FINAL_MU, 4) == (
+        f"{detail}{(wx.FINAL_LAM, wx.FINAL_MU, wx.FINAL_NU)}")
+
+
+@pytest.mark.parametrize("lam, mu, nu, rows, detail", [
+    ((1,), (2,), (2, 1), [[{2}, {1}]], "input: not semistandard"),
+    ((1,), (2,), (2, 1), [[{1}, {4}]], "input: entries exceed n=3"),
+    ((2,), (1,), (1, 1), [[{1}]], "nu - lam has a negative entry"),
+])
+def test_gamma_names_the_failed_input_check(lam, mu, nu, rows, detail):
+    tableau = SetValuedFilling.from_rows(skew(mu), rows)
+    with pytest.raises(DomainError) as info:
+        gamma(tableau, CoefficientQuery(lam, mu, nu, 3))
+    assert str(info.value) == detail
 
 
 def test_column_ops_commute():
