@@ -56,7 +56,7 @@ from math import comb
 from operator import ge, itemgetter
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
-from .shapes import Partition, as_partition, contains, partitions, skew
+from .shapes import Partition, contains, partitions, skew
 
 
 class SparseIntPolynomial:
@@ -139,6 +139,10 @@ def _packed(terms: dict, base: int) -> list:
 def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> SparseIntPolynomial:
     """Exact product, dropping terms whose total degree exceeds `cap`.
 
+    With no `cap`, the cap is the degree to which the product is complete:
+    a factor capped at c bounds it by c plus the other factor's lowest
+    degree (0 for an empty factor, which errs low); an uncapped one by nothing.
+
     Inside the call each exponent vector is one int in base
     B = (largest exponent of a) + (largest exponent of b) + 1.  No
     coordinate of a product exponent reaches B, so adding two keys never
@@ -149,7 +153,8 @@ def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> Sparse
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} variables vs {b.n}")
     if cap is None:
-        caps = [c for c in (a.cap, b.cap) if c is not None]
+        caps = [x.cap + min(map(sum, y.terms), default=0)
+                for x, y in ((a, b), (b, a)) if x.cap is not None]
         cap = min(caps) if caps else None
     n = a.n
     base = (max(chain.from_iterable(a.terms), default=0)
@@ -264,14 +269,13 @@ def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
     because no filling can hold more.  The sum is taken by the chain
     formula of the module docstring, not by listing fillings.
     """
-    outer = as_partition(outer)
-    inner = as_partition(inner)
-    cells = skew(outer, inner).num_cells()
+    shape = skew(outer, inner)
+    cells = shape.num_cells()
     if cap is None:
         cap = n * cells
     if cap < cells:
         raise ValueError(f"cap {cap} is below the cell count {cells}")
-    return _g_poly(outer.parts, inner.parts, int(n), int(cap))
+    return _g_poly(shape.outer, shape.inner, int(n), int(cap))
 
 
 def schur_poly(outer, inner, n: int) -> SparseIntPolynomial:
@@ -295,10 +299,10 @@ class BasisExpansion:
     coeffs: dict
 
     def coefficient(self, nu) -> int:
-        return self.coeffs.get(as_partition(nu), 0)
+        return self.coeffs.get(Partition(nu), 0)
 
     def items(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].size(), kv[0].parts))
+        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].size(), kv[0]))
 
 
 @lru_cache(maxsize=128)
@@ -390,7 +394,7 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
     expansion is shared between callers, so callers must not mutate its
     `coeffs`.
     """
-    first, second = sorted((as_partition(lam).parts, as_partition(mu).parts))
+    first, second = sorted((Partition(lam), Partition(mu)))
     return _expand_product(first, second, int(n), int(cap))
 
 
@@ -398,7 +402,7 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
 # basis element of its pair
 @lru_cache(maxsize=64)
 def _dominant_table(n: int, cap: int) -> dict:
-    """{nu.parts: G_nu at its partition exponents of degree <= cap}, for
+    """{nu: G_nu at its partition exponents of degree <= cap}, for
     every nu with at most n parts: `_chains` from the empty partition
     with no outer shape."""
     return {kappa: SparseIntPolynomial._trusted(n, terms, cap)
@@ -429,4 +433,4 @@ def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
     cone = _cone(product.terms)
     if product.terms != _orbit_sum(cone):
         raise NotSymmetric(f"{product!r} is not symmetric up to degree {cap}")
-    return _peel_to_cap(cone, n, cap, lambda nu: table[nu.parts])
+    return _peel_to_cap(cone, n, cap, table.__getitem__)

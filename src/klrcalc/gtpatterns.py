@@ -26,7 +26,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import DomainError, NotRotatedShape, NotStraightShape
-from .shapes import Partition, RotatedShape, as_partition, rotate, skew
+from .shapes import Partition, RotatedShape, rotate, skew
 from .tableaux import SetValuedFilling
 
 
@@ -148,7 +148,7 @@ def enumerate_gt(lam, n: int):
     partitions interlacing the one below it, so the stream is exactly
     the interlacing characterization, depth first and deterministic.
     """
-    lam = as_partition(lam)
+    lam = Partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} needs more than {n} rows")
     if n == 0:
@@ -328,7 +328,7 @@ def _read(filling: SetValuedFilling, lam: Partition, n, rotated: bool) -> Marked
     """Contract `filling` of the straight or rotated shape of `lam`, reading
     pattern row j, cell c where `_frame` puts it for `_expand`; `n` defaults
     to the larger of the top entry and the row count."""
-    _, sign, row0, col0 = _frame(lam.parts, rotated)
+    _, sign, row0, col0 = _frame(lam, rotated)
     entries = filling.entries
     rows = [[entries[(row0 + sign * j, col0 + sign * c)] for c in range(1, width + 1)]
             for j, width in enumerate(lam, start=1)]

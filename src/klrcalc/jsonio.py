@@ -100,7 +100,7 @@ def marked_from_obj(obj: dict) -> MarkedGTPattern:
 
 
 def expansion_obj(expansion: BasisExpansion) -> list:
-    return [{"nu": list(nu.parts), "C": abs(c), "sign": 1 if c > 0 else -1}
+    return [{"nu": list(nu), "C": abs(c), "sign": 1 if c > 0 else -1}
             for nu, c in expansion.items()]
 
 

@@ -11,14 +11,14 @@ intermediate object so a run can be checked line by line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import add
 
 from . import grothendieck
 from .errors import DegreeError, DomainError, InternalInvariantError
 from .gtpatterns import (GTPattern, MarkedGTPattern, check_marks, omega,
                          omega_inverse, upsilon, upsilon_inverse)
-from .shapes import Partition, as_partition, rotate, skew
+from .shapes import Partition, rotate, skew
 from .tableaux import (SetValuedFilling, enumerate_svt, is_lambda_dominant,
                        is_semistandard, weight)
 
@@ -38,9 +38,9 @@ class CoefficientQuery:
     n: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_partition(self.lam))
-        object.__setattr__(self, "mu", as_partition(self.mu))
-        object.__setattr__(self, "nu", as_partition(self.nu))
+        object.__setattr__(self, "lam", Partition(self.lam))
+        object.__setattr__(self, "mu", Partition(self.mu))
+        object.__setattr__(self, "nu", Partition(self.nu))
         n = self.n
         if n is None:
             n = max(len(self.lam), len(self.mu), len(self.nu))
@@ -64,7 +64,7 @@ def _side(q: CoefficientQuery, straight: bool):
     of shape with weight nu - sub: straight, lam and mu; rotated, mu and
     rotated lam.  target is nu - sub, or None when an entry is negative."""
     sub, shape = (q.lam, skew(q.mu, ())) if straight else (q.mu, rotate(q.lam))
-    target = tuple(q.nu[i] - sub[i] for i in range(max(len(q.nu), len(sub))))
+    target = tuple(a - b for a, b in zip_longest(q.nu, sub, fillvalue=0))
     return sub, shape, None if any(d < 0 for d in target) else target
 
 
@@ -108,8 +108,8 @@ def witness_lists(lam, mu, n: int) -> dict:
     lam on the straight side and mu on the rotated one; nu is a partition
     because f is sub-dominant.  A nu with no witness has no key.
     """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
+    lam = Partition(lam)
+    mu = Partition(mu)
     n = int(n)
     if max(len(lam), len(mu)) > n:
         raise DomainError(f"n={n} smaller than a partition length")

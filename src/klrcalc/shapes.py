@@ -1,90 +1,72 @@
 """Partitions, skew Young diagrams, and 180-degree rotated shapes.
 
-Cells are addressed as (row, col) pairs, 1-based, rows counted from the
-top, matching English-notation diagrams.  The rest of the package speaks
-of the rows of a rotated shape from the bottom.
+A Partition is the tuple of its positive parts.  Cells are addressed as
+(row, col) pairs, 1-based, rows counted from the top, matching
+English-notation diagrams.  The rest of the package speaks of the rows
+of a rotated shape from the bottom.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le, lt
 
 from .errors import ContainmentError
 
+_item = tuple.__getitem__  # global: filling a default argument slows each call
 
-class Partition:
-    """Weakly decreasing sequence of non-negative integers.
 
-    Trailing zeros are stripped on construction, and indexing past the
-    end returns 0, so comparisons never need explicit padding.
+class Partition(tuple):
+    """Weakly decreasing sequence of non-negative integers, kept as the
+    tuple of its positive parts: `==`, hashing, `<`, `+` and JSON act as on
+    that tuple, so `Partition((2, 1)) == (2, 1)`.
+
+    Trailing zeros are stripped on construction, and an int index past
+    either end reads 0, so comparisons never need explicit padding; a
+    slice is a plain tuple.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         if isinstance(parts, Partition):
-            self._parts = parts._parts
-            return
-        parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts not weakly decreasing: {parts}")
+            return parts
+        parts = tuple(map(int, parts))
+        if any(map(lt, parts, parts[1:])):
+            raise ValueError(f"parts not weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        self._parts = parts
+        return tuple.__new__(cls, parts)
 
     @property
     def parts(self) -> tuple:
-        return self._parts
-
-    def __len__(self):
-        """Number of strictly positive parts."""
-        return len(self._parts)
+        return tuple(self)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._parts[i]
-        return self._parts[i] if 0 <= i < len(self._parts) else 0
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __bool__(self):
-        return bool(self._parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._parts)
+        if i.__class__ is slice:
+            return _item(self, i)
+        return _item(self, i) if 0 <= i < len(self) else 0
 
     def __repr__(self):
-        return f"Partition{self._parts}"
+        return f"Partition{tuple(self)}"
 
     def size(self) -> int:
-        return sum(self._parts)
+        return sum(self)
 
     def pad(self, length: int) -> tuple:
         """Parts as a tuple of exactly `length` entries."""
-        if length < len(self._parts):
+        if length < len(self):
             raise ValueError(f"cannot pad {self} to length {length}")
-        return self._parts + (0,) * (length - len(self._parts))
-
-
-def as_partition(value) -> Partition:
-    """Coerce a Partition or any iterable of parts to a Partition."""
-    return value if isinstance(value, Partition) else Partition(value)
+        return self + (0,) * (length - len(self))
 
 
 def contains(mu, lam) -> bool:
     """True when mu fits inside lam componentwise."""
-    mu = as_partition(mu)
-    lam = as_partition(lam)
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
+    mu = Partition(mu)
+    lam = Partition(lam)
+    return len(mu) <= len(lam) and all(map(le, mu, lam))
 
 
 class SkewShape:
@@ -93,8 +75,8 @@ class SkewShape:
     __slots__ = ("outer", "inner")
 
     def __init__(self, outer, inner=()):
-        self.outer = as_partition(outer)
-        self.inner = as_partition(inner)
+        self.outer = Partition(outer)
+        self.inner = Partition(inner)
         if not contains(self.inner, self.outer):
             raise ContainmentError(f"{self.inner} is not contained in {self.outer}")
 
@@ -136,12 +118,9 @@ class RotatedShape(SkewShape):
     __slots__ = ("lam",)
 
     def __init__(self, lam):
-        lam = as_partition(lam)
-        height = len(lam)
+        lam = Partition(lam)
         width = lam[0]
-        outer = (width,) * height
-        inner = tuple(width - lam[height - r] for r in range(1, height + 1))
-        super().__init__(outer, inner)
+        super().__init__((width,) * len(lam), tuple(width - p for p in lam[::-1]))
         self.lam = lam
 
     def __repr__(self):
@@ -158,12 +137,10 @@ def rotate(lam) -> RotatedShape:
 
     Shapes are immutable, so every caller with the same parts shares one.
     """
-    return _rotated(as_partition(lam).parts)
+    return _rotated(Partition(lam))
 
 
-@lru_cache(maxsize=1024)
-def _rotated(parts: tuple) -> RotatedShape:
-    return RotatedShape(parts)
+_rotated = lru_cache(maxsize=1024)(RotatedShape)
 
 
 def partitions(total, max_length=None, max_part=None):
@@ -179,7 +156,7 @@ def partitions(total, max_length=None, max_part=None):
         return
     for first in range(min(total, max_part), 0, -1):
         for rest in partitions(total - first, max_length - 1, first):
-            yield Partition((first,) + rest.parts)
+            yield Partition((first,) + rest)
 
 
 def partitions_up_to(max_size, max_length=None):

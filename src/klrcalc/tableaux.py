@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import SkewShape, as_partition, skew
+from .shapes import Partition, SkewShape, skew
 
 
 class SetValuedFilling:
@@ -153,7 +153,6 @@ def is_dominant(word) -> bool:
 
 def superstandard(lam) -> SetValuedFilling:
     """The unique tableau whose shape and weight both equal lam."""
-    lam = as_partition(lam)
     shape = skew(lam, ())
     return SetValuedFilling(shape, {(r, c): (r,) for (r, c) in shape.cells()})
 
@@ -166,7 +165,7 @@ def _seed_word(lam) -> tuple:
 
 def is_lambda_dominant(filling: SetValuedFilling, lam) -> bool:
     """The row word, prefixed by the row word of superstandard(lam), is dominant."""
-    return is_dominant(_seed_word(as_partition(lam)) + row_word(filling))
+    return is_dominant(_seed_word(Partition(lam)) + row_word(filling))
 
 
 @lru_cache(maxsize=4096)
@@ -243,7 +242,7 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
         return
 
     # lam padded with zeros, so the room of every v can index it directly
-    lam = None if dominant_for is None else as_partition(dominant_for).parts + (0,) * n
+    lam = None if dominant_for is None else Partition(dominant_for) + (0,) * n
     per_cell = 1 if singleton else n
     masks = [0] * ncells
     counts = [0] * (n + 1)
@@ -346,7 +345,7 @@ def _plan(shape: SkewShape, w: int) -> tuple:
     whose span holds v (k = 0 .. the number of rows).
     """
     cells = tuple(shape.cells())
-    outer, inner = shape.outer.parts, shape.inner.parts
+    outer, inner = shape.outer, shape.inner
     index, left, up, row_start, span, row_of = {}, [], [], [], [], []
     upto = [[0] * (w + 1)]
     for i, (r, c) in enumerate(cells):

@@ -33,9 +33,14 @@ def g_poly_by_enumeration(outer, inner, n, caps):
 
 
 def multiply_reference(a, b, cap=None):
-    """Reference: the product as one tuple sum per pair of terms."""
+    """Reference: the product as one tuple sum per pair of terms.  With no
+    cap, the degree to which the product is complete: each capped factor's
+    cap plus the other factor's lowest degree (0 when it is empty)."""
     if cap is None:
-        caps = [c for c in (a.cap, b.cap) if c is not None]
+        caps = []
+        for x, y in ((a, b), (b, a)):
+            if x.cap is not None:
+                caps.append(x.cap + min((sum(e) for e in y.terms), default=0))
         cap = min(caps) if caps else None
     bterms = [(sum(e), e, c) for e, c in b.terms.items()]
     out = {}
@@ -198,6 +203,20 @@ def test_multiply_matches_reference_on_verify_products(monkeypatch):
     assert len(products) == factors * (factors + 1) // 2
     for a, b, cap in products:
         _assert_multiply_matches_reference(a, b, cap)
+
+
+def test_multiply_default_cap_keeps_a_nonzero_product():
+    # caps 2 and 6, lowest degrees 1 and 3: no product term lies at or
+    # below the smaller cap, and the product is complete to min(2 + 3, 6 + 1)
+    product = multiply(grothendieck_poly((1,), (), 2), grothendieck_poly((2, 1), (), 2))
+    assert product.cap == 5
+    expected = {Partition((3, 1)): 1, Partition((2, 2)): 1, Partition((3, 2)): -1}
+    assert expand_in_g_basis(product).coeffs == expected
+    assert grothendieck.expand_product((1,), (2, 1), 2, 5).coeffs == expected
+    # an uncapped factor bounds nothing; an empty one counts as degree 0
+    assert multiply(X1, grothendieck_poly((1,), (), 2, 1)).cap == 2
+    assert multiply(X1, X2).cap is None
+    assert multiply(SparseIntPolynomial(2, {}, 7), grothendieck_poly((1,), (), 2, 1)).cap == 1
 
 
 def test_is_symmetric():

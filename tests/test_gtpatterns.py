@@ -260,6 +260,13 @@ def test_check_bijections_reports_a_short_universe(monkeypatch):
         "upsilon image has 5 fillings, universe has 4 for (2,), n=2")
 
 
+def test_check_bijections_refuses_more_parts_than_rows():
+    # no pattern of size n has a bottom row of more than n parts, so the
+    # instance cannot be checked and must not pass
+    with pytest.raises(ValueError, match=r"^partition Partition\(2, 1\) needs more than 1 rows$"):
+        verify.check_bijections((2, 1), 1)
+
+
 @pytest.mark.parametrize("name, detail", [
     ("total_entries", "mark/singleton restriction failed on "),
     ("weight", "weight reversal failed on "),

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from klrcalc import (ContainmentError, Partition, contains, partitions,
@@ -18,6 +21,22 @@ def test_partition_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    with pytest.raises(ValueError, match=r"^cannot pad Partition\(2, 1\) to length 1$"):
+        Partition((2, 1)).pad(1)
+
+
+def test_partition_is_the_tuple_of_its_parts():
+    p = Partition((2, 1, 0))
+    assert isinstance(p, tuple)
+    assert p == (2, 1) and hash(p) == hash((2, 1))
+    assert {(2, 1): "x"}[p] == "x"
+    assert Partition(p) is p
+    assert p[5] == p[-1] == 0
+    assert type(p[1:]) is tuple and p[1:] == (1,)
+    assert p.parts == (2, 1) and type(p.parts) is tuple
+    assert repr(p) == "Partition(2, 1)" and repr(Partition(())) == "Partition()"
+    for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert type(back) is Partition and back == p
 
 
 def test_contains_examples():

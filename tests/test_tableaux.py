@@ -20,6 +20,15 @@ def test_semistandard_examples():
     assert not is_semistandard(bad)
 
 
+def test_filling_repr_and_cover():
+    straight = SetValuedFilling.from_rows(skew((2, 1)), [[{1}, {1, 2}], [{2}]])
+    assert repr(straight) == "<filling SkewShape((2, 1)/()) [1,12; 2]>"
+    rotated = SetValuedFilling.from_rows(rotate((2, 1)), [[{1}], [{1}, {1}]])
+    assert repr(rotated) == "<filling RotatedShape((2, 1)) [1; 1,1]>"
+    with pytest.raises(ValueError, match="^entries do not cover the shape exactly$"):
+        SetValuedFilling(skew((2,)), {(1, 1): {1}})
+
+
 def test_weight_and_total_entries():
     t = wx.skew_example_tableau()
     assert weight(t) == (3, 2, 2, 3)
