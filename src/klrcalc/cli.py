@@ -111,6 +111,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n < 0:
+        raise InputError(f"--n must be >= 0, got {args.n}")
     count = 0
     for filling in enumerate_svt(args.shape, args.n, weight_filter=args.weight,
                                  singleton=args.singleton, dominant_for=args.dominant):

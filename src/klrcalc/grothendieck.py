@@ -33,18 +33,20 @@ The sum is symmetric in x_1..x_n for skew shapes too (Buch, Acta Math.
 189, 2002, treats these skew sums; the tests check the result against
 listed fillings), and truncation by total degree keeps it so.  A
 symmetric polynomial is the orbit sum of its partition-exponent terms,
-so `_g_poly` returns that orbit sum, and `is_symmetric` tests a
-polynomial against the same sum.
+its dominant cone, so `_g_cone` keeps only the cone, `grothendieck_poly`
+returns its orbit sum, and `is_symmetric` tests a polynomial against
+the same sum.
 
-The expansion peels monomials degree by degree; within one degree the
-monomial of a partition occurs in the basis element of another
-partition only when the latter dominates the former, so scanning
-partitions largest-first makes the change of basis triangular.  The
-oracle peels a product on the dominant cone alone, against
-`_dominant_table(n, cap)`, whose entries also give its two factors.
-That is exact: the product is checked symmetric and every G_nu is
-symmetric, so the residual is symmetric, and a nonzero symmetric
-polynomial has a nonzero partition monomial.
+Every expansion peels the dominant cone alone, degree by degree, in
+`_peel_cone`; within one degree the monomial of a partition occurs in
+the basis element of another partition only when the latter dominates
+the former, so scanning partitions largest-first makes the change of
+basis triangular.  That is exact: the input is checked symmetric and
+every basis element is an orbit sum, so the residual is always the
+orbit sum of its cone, and a nonzero symmetric polynomial has a nonzero
+partition monomial.  The oracle reads its basis cones and factors from
+`_dominant_table(n, cap)`, the public peels from `_g_cone`, so they stay
+its reference.
 """
 
 from __future__ import annotations
@@ -248,16 +250,15 @@ def _chains(inner: tuple, outer, n: int, cap: int) -> dict:
     return layer
 
 
-# cap stays in the key: caching the exhaustive polynomial once and
-# truncating it per cap costs more memory than rebuilding per cap.  Only
-# the public builders and the reference peel of `expand_in_g_basis` ask
-# here, not the oracle; the bound caps long-lived sessions
+# cap stays in the key: caching the exhaustive cone once and truncating
+# it per cap costs more memory than rebuilding per cap.  The entries are
+# cones, not polynomials; only the public builders and the public peels
+# ask here, not the oracle; the bound caps long-lived sessions
 @lru_cache(maxsize=4096)
-def _g_poly(outer: tuple, inner: tuple, n: int, cap: int) -> SparseIntPolynomial:
-    """Signed polynomial of outer/inner to degree cap: the orbit sum of
-    the partition-exponent terms that `_chains` gives for outer."""
-    return SparseIntPolynomial._trusted(
-        n, _orbit_sum(_chains(inner, outer, n, cap).get(outer, {})), cap)
+def _g_cone(outer: tuple, inner: tuple, n: int, cap: int) -> dict:
+    """The partition-exponent terms of outer/inner to degree cap, as
+    `_chains` gives them for outer.  Shared: callers must not mutate it."""
+    return _chains(inner, outer, n, cap).get(outer, {})
 
 
 def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
@@ -275,7 +276,8 @@ def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
         cap = n * cells
     if cap < cells:
         raise ValueError(f"cap {cap} is below the cell count {cells}")
-    return _g_poly(shape.outer, shape.inner, int(n), int(cap))
+    return SparseIntPolynomial._trusted(
+        int(n), _orbit_sum(_g_cone(shape.outer, shape.inner, int(n), int(cap))), int(cap))
 
 
 def schur_poly(outer, inner, n: int) -> SparseIntPolynomial:
@@ -311,55 +313,47 @@ def _partitions(d: int, n: int) -> tuple:
     return tuple(partitions(d, max_length=n))
 
 
-def _lowest_monomial(exps):
-    return min(exps, key=lambda e: (sum(e), e))
-
-
-def _peel(residual: dict, d: int, n: int, element) -> dict:
-    """Peel the degree-d basis elements off `residual`; their coefficients.
+def _peel_cone(p: SparseIntPolynomial, degrees, basis: str, element) -> BasisExpansion:
+    """The coordinates of a symmetric `p` on `basis`, peeled off its
+    dominant cone in `degrees`; `element(nu)` is the cone of a basis element.
 
     Partitions nu are visited in descending lexicographic order (a linear
-    extension of dominance); the residual coefficient at nu's monomial
-    is recorded and that multiple of `element(nu)` subtracted in place.
-    `residual` must be a private dict, never the terms of a cached
-    polynomial.
+    extension of dominance); the residual coefficient at nu's monomial is
+    recorded and that multiple of `element(nu)` subtracted; the residual
+    is checked once, at the end.  A basis element has no term below
+    degree |nu|, so peeling degree d never touches what is left at lower
+    degrees: the lowest partition monomial left lies in the first degree
+    that did not clear, and ResidualNonzero names it.
     """
+    residual = _cone(p.terms)  # a new dict, owned here
+    if p.terms != _orbit_sum(residual):
+        raise NotSymmetric(f"{p!r} is not symmetric up to degree {degrees[-1]}")
     coeffs = {}
-    for nu in _partitions(d, n):
-        c = residual.get(nu.pad(n), 0)
-        if not c:
-            continue
-        coeffs[nu] = c
-        for e, g in element(nu).terms.items():
-            rest = residual.get(e, 0) - c * g
-            if rest:
-                residual[e] = rest
-            else:
-                del residual[e]
-    return coeffs
-
-
-def _peel_to_cap(residual: dict, n: int, cap: int, element) -> BasisExpansion:
-    """Every degree up to cap peeled off `residual` by `_peel`; the G
-    coordinates, or ResidualNonzero naming the lowest monomial left."""
-    coeffs = {}
-    for d in range(cap + 1):
-        coeffs.update(_peel(residual, d, n, element))
+    for d in degrees:
+        for nu in _partitions(d, p.n):
+            c = residual.get(nu.pad(p.n), 0)
+            if not c:
+                continue
+            coeffs[nu] = c
+            for e, g in element(nu).items():
+                rest = residual.get(e, 0) - c * g
+                if rest:
+                    residual[e] = rest
+                else:
+                    del residual[e]
     if residual:
-        low = _lowest_monomial(residual)
+        low = min(residual, key=lambda e: (sum(e), e))
         raise ResidualNonzero(f"degree {sum(low)} did not clear; lowest monomial {low}")
-    return BasisExpansion("G", coeffs)
+    return BasisExpansion(basis, coeffs)
 
 
 def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
     """Coordinates of `p` on the signed set-valued basis, by degree peeling.
 
     `p` must be symmetric up to the cap, and `cap` may not exceed `p.cap`:
-    terms above `p.cap` were dropped, not zero.  Each degree is peeled in
-    turn and the residual is checked once, at the end.  A G_nu has no term
-    below degree |nu|, so peeling degree d never touches what is left at
-    lower degrees: the lowest leftover monomial lies in the first degree
-    that did not clear, and ResidualNonzero names that degree.
+    terms above `p.cap` were dropped, not zero.  The basis cones come from
+    `_g_cone`, never from the oracle's table, so this peel is the
+    oracle's independent reference.
     """
     if cap is None:
         cap = p.cap if p.cap is not None else p.max_degree()
@@ -367,23 +361,14 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
         raise ValueError(f"cap {cap} is above the polynomial's cap {p.cap}")
     # a polynomial has no term above its own cap, so only a lower cap truncates
     kept = p if cap == p.cap else p.truncate(cap)
-    if not is_symmetric(kept):
-        raise NotSymmetric(f"{p!r} is not symmetric up to degree {cap}")
-    return _peel_to_cap(dict(kept.terms), p.n, cap,  # a copy, owned here
-                        lambda nu: grothendieck_poly(nu, (), p.n, cap))
+    return _peel_cone(kept, range(cap + 1), "G", lambda nu: _g_cone(nu, (), p.n, cap))
 
 
 def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
-    """Coordinates of a homogeneous symmetric `p` on the singleton basis."""
-    if not is_symmetric(p):
-        raise NotSymmetric(f"{p!r} is not symmetric")
+    """Coordinates of a homogeneous symmetric `p` on the singleton basis:
+    its lowest degree d peeled against the cones of s_nu, G_nu at cap d."""
     d = min((sum(e) for e in p.terms), default=0)
-    residual = dict(p.terms)
-    coeffs = _peel(residual, d, p.n, lambda nu: schur_poly(nu, (), p.n))
-    if residual:
-        raise ResidualNonzero(
-            f"not homogeneous of degree {d}; lowest leftover {_lowest_monomial(residual)}")
-    return BasisExpansion("s", coeffs)
+    return _peel_cone(p, (d,), "s", lambda nu: _g_cone(nu, (), p.n, d))
 
 
 def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
@@ -404,33 +389,25 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
 def _dominant_table(n: int, cap: int) -> dict:
     """{nu: G_nu at its partition exponents of degree <= cap}, for
     every nu with at most n parts: `_chains` from the empty partition
-    with no outer shape."""
-    return {kappa: SparseIntPolynomial._trusted(n, terms, cap)
-            for kappa, terms in _chains((), None, n, cap).items()}
+    with no outer shape.  Shared: callers must not mutate it."""
+    return _chains((), None, n, cap)
 
 
 # a verify sweep asks for each unordered pair once per (n, cap); the
-# bound caps long-lived sessions, as _g_poly's does
+# bound caps long-lived sessions, as _g_cone's does
 @lru_cache(maxsize=1024)
 def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
-    """G_lam * G_mu peeled on the dominant cone, the factors (orbit sums;
-    0 past n parts) and basis elements read from `_dominant_table(n, cap)`.
+    """G_lam * G_mu peeled by `_peel_cone`, the factors (orbit sums; 0
+    past n parts) and basis cones read from `_dominant_table(n, cap)`.
 
-    The product is checked symmetric with the text of `expand_in_g_basis`,
-    then only its partition monomials are peeled; by the module docstring
-    that gives the full peel's coefficients, and a residual is left only
-    when a basis element is wrong.  ResidualNonzero then names the lowest
-    partition monomial left, in its degree.
+    The peel checks the product symmetric, so by the module docstring its
+    cone gives the full peel's coefficients, and a residual is left only
+    when a basis element is wrong.
     """
     for cells in (sum(lam), sum(mu)):
         if cap < cells:
             raise ValueError(f"cap {cap} is below the cell count {cells}")
     table = _dominant_table(n, cap)
-    first, second = (SparseIntPolynomial._trusted(
-        n, _orbit_sum(table[parts].terms) if parts in table else {}, cap)
-        for parts in (lam, mu))
-    product = multiply(first, second, cap)
-    cone = _cone(product.terms)
-    if product.terms != _orbit_sum(cone):
-        raise NotSymmetric(f"{product!r} is not symmetric up to degree {cap}")
-    return _peel_to_cap(cone, n, cap, table.__getitem__)
+    first, second = (SparseIntPolynomial._trusted(n, _orbit_sum(table.get(parts, {})), cap)
+                     for parts in (lam, mu))
+    return _peel_cone(multiply(first, second, cap), range(cap + 1), "G", table.__getitem__)

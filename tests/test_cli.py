@@ -74,6 +74,14 @@ def test_enumerate_counts(capsys):
         [[[1]]], [[[2]]], [[[1, 2]]]]
 
 
+def test_enumerate_refuses_a_negative_n(capsys):
+    # as coeff, expand and verify do: exit 1, one error line, no count
+    code, out, err = run(capsys, "enumerate", "--shape", "2,1", "--n", "-1")
+    assert (code, out, err) == (1, "", "error: --n must be >= 0, got -1\n")
+    code, out, _ = run(capsys, "enumerate", "--shape", "", "--n", "0")
+    assert code == 0 and json.loads(out.strip().splitlines()[-1]) == {"count": 1}
+
+
 def test_enumerate_output_reparses_identically(capsys):
     code, out, _ = run(capsys, "enumerate", "--shape", "2,1", "--n", "2")
     for line in out.strip().splitlines()[:-1]:

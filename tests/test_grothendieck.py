@@ -245,13 +245,23 @@ def test_expand_g_basis_square_of_one_box():
 
 
 def test_expand_errors():
-    with pytest.raises(NotSymmetric):
+    # one peel gives every expansion its texts: the polynomial checked is
+    # the one truncated to the cap, and the residual named is its lowest
+    # partition monomial
+    with pytest.raises(NotSymmetric) as info:
         expand_in_g_basis(X1, 2)
-    with pytest.raises(NotSymmetric):
+    assert str(info.value) == "<poly n=2 terms=1 cap=2> is not symmetric up to degree 2"
+    high = SparseIntPolynomial(2, {(1, 0): 1, (2, 2): 1}, 4)
+    with pytest.raises(NotSymmetric) as info:
+        expand_in_g_basis(high, 2)
+    assert str(info.value) == "<poly n=2 terms=1 cap=2> is not symmetric up to degree 2"
+    with pytest.raises(NotSymmetric) as info:
         expand_in_schur_basis(X1)
+    assert str(info.value) == "<poly n=2 terms=1 cap=None> is not symmetric up to degree 1"
     mixed = SparseIntPolynomial(2, {(1, 0): 1, (0, 1): 1, (0, 0): 2})  # s_1 + 2
-    with pytest.raises(ResidualNonzero):
+    with pytest.raises(ResidualNonzero) as info:
         expand_in_schur_basis(mixed)
+    assert str(info.value) == "degree 1 did not clear; lowest monomial (1, 0)"
 
 
 def test_expand_g_basis_rejects_cap_above_polynomial_cap():
@@ -264,20 +274,22 @@ def test_expand_g_basis_rejects_cap_above_polynomial_cap():
 
 
 def test_expand_g_basis_residual_message(monkeypatch):
-    real = grothendieck.grothendieck_poly
+    # the peel reads basis cones alone, so a lost term must be a
+    # partition monomial to be seen; the product is built before the patch
+    real = grothendieck._g_cone
 
-    def lossy(outer, inner, n, cap=None):
-        g = real(outer, inner, n, cap)
-        if Partition(outer) == Partition((2, 1)):  # G_(2,1) loses x1 x2^2
-            g = SparseIntPolynomial(n, {e: c for e, c in g.terms.items()
-                                        if e != (1, 2)}, g.cap)
-        return g
+    def lossy(outer, inner, n, cap):
+        cone = real(outer, inner, n, cap)
+        if Partition(outer) == Partition((2, 1)):  # G_(2,1) loses x1^2 x2
+            cone = {e: c for e, c in cone.items() if e != (2, 1)}
+        return cone
 
-    monkeypatch.setattr(grothendieck, "grothendieck_poly", lossy)
     g1 = grothendieck_poly((1,), (), 2, 4)
+    square = multiply(g1, g1, 4)
+    monkeypatch.setattr(grothendieck, "_g_cone", lossy)
     with pytest.raises(ResidualNonzero) as info:
-        expand_in_g_basis(multiply(g1, g1, 4), 4)
-    assert str(info.value) == "degree 3 did not clear; lowest monomial (1, 2)"
+        expand_in_g_basis(square, 4)
+    assert str(info.value) == "degree 3 did not clear; lowest monomial (2, 1)"
 
 
 def test_expand_product_residual_message(monkeypatch):
@@ -287,10 +299,8 @@ def test_expand_product_residual_message(monkeypatch):
     real = grothendieck._dominant_table
 
     def lossy(n, cap):
-        table = dict(real(n, cap))
-        g = table[(2, 1)]  # G_(2,1) loses x1^2 x2
-        table[(2, 1)] = SparseIntPolynomial(n, {e: c for e, c in g.terms.items()
-                                                if e != (2, 1)}, g.cap)
+        table = dict(real(n, cap))  # G_(2,1) loses x1^2 x2
+        table[(2, 1)] = {e: c for e, c in table[(2, 1)].items() if e != (2, 1)}
         return table
 
     monkeypatch.setattr(grothendieck, "_dominant_table", lossy)
@@ -349,11 +359,58 @@ def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle built a basis polynomial of its own")
 
-    monkeypatch.setattr(grothendieck, "_g_poly", refuse)
+    monkeypatch.setattr(grothendieck, "_g_cone", refuse)
     grothendieck._expand_product.cache_clear()
     assert [grothendieck.expand_product(*case).coeffs for case in cases] == expected
     assert any(len(lam) > n and not coeffs
                for (lam, _, n, _), coeffs in zip(cases, expected))
+
+
+def test_public_expansions_build_no_full_basis_polynomial(monkeypatch):
+    # both public peels read basis cones alone, never a whole G_nu or s_nu
+    shapes = list(partitions_up_to(3))
+    n = 3
+    products = []
+    for lam in shapes:
+        for mu in shapes:
+            cap = lam.size() + mu.size() + 2
+            products.append((
+                multiply(grothendieck_poly(lam, (), n, cap),
+                         grothendieck_poly(mu, (), n, cap), cap), cap,
+                multiply(schur_poly(lam, (), n), schur_poly(mu, (), n))))
+
+    def expansions():
+        return [(expand_in_g_basis(g, cap).coeffs, expand_in_schur_basis(s).coeffs)
+                for g, cap, s in products]
+
+    expected = expansions()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public expansion built a full basis polynomial")
+
+    monkeypatch.setattr(grothendieck, "grothendieck_poly", refuse)
+    monkeypatch.setattr(grothendieck, "schur_poly", refuse)
+    assert expansions() == expected
+    assert sum(len(g) + len(s) for g, s in expected) == 242
+
+
+def test_expand_product_is_stable_when_n_grows():
+    # G_nu in n + 1 variables maps to G_nu in n when x_{n+1} = 0, and to 0
+    # past n parts, so the n-variable coefficients are the (n + 1)-variable
+    # ones on nu with at most n parts
+    grothendieck._expand_product.cache_clear()
+    shapes = list(partitions_up_to(4))
+    checked = 0
+    for n in range(5):
+        for lam in shapes:
+            for mu in shapes:
+                cap = lam.size() + mu.size() + 2
+                got = grothendieck.expand_product(lam, mu, n, cap).coeffs
+                wider = grothendieck.expand_product(lam, mu, n + 1, cap).coeffs
+                assert got == {nu: c for nu, c in wider.items() if len(nu) <= n}, \
+                    (lam, mu, n)
+                checked += bool(got)
+    assert checked == 372
 
 
 def test_expand_product_argument_errors():
@@ -461,7 +518,7 @@ def test_chain_recursion_matches_enumeration():
                 assert set(table) == {k.parts for k in partitions_up_to(cap, max_length=n)}
                 expected = {e: c for e, c in grothendieck_poly(nu, (), n, cap).terms.items()
                             if list(e) == sorted(e, reverse=True)}
-                got = table[nu.parts].terms if len(nu) <= n else {}
+                got = table[nu.parts] if len(nu) <= n else {}
                 assert got == expected, (nu, n, cap)
                 checked += bool(expected)
     assert checked > 250
@@ -536,7 +593,7 @@ def test_bialternant_formulas():
             # the dominant table keeps the partition exponents of G_lam; a
             # symmetric polynomial is the orbit sum of those
             dominant = grothendieck._dominant_table(n, n * lam.size())[lam.parts]
-            orbits = SparseIntPolynomial(n, {e: c for d, c in dominant.terms.items()
+            orbits = SparseIntPolynomial(n, {e: c for d, c in dominant.items()
                                              for e in set(permutations(d))})
             assert multiply(orbits, vandermonde) == _bialternant(lam, n, True), (lam, n)
             s = schur_poly(lam, (), n)

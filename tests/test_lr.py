@@ -363,6 +363,18 @@ def test_counts_stable_when_n_grows():
     deep = CoefficientQuery((2, 1), (2,), (3, 2, 1))
     assert coeff_buch(CoefficientQuery(deep.lam, deep.mu, deep.nu, 7)) == \
         coeff_buch(deep)
+    # from the default n, the longest partition length, one or two more
+    # change neither count, on every nu up to two past the classical degree
+    checked = 0
+    for lam in partitions_up_to(3):
+        for mu in partitions_up_to(3):
+            for nu in partitions_up_to(lam.size() + mu.size() + 2):
+                q = CoefficientQuery(lam, mu, nu)
+                counts = {(coeff_buch(r), coeff_contra(r))
+                          for r in (q, replace(q, n=q.n + 1), replace(q, n=q.n + 2))}
+                assert len(counts) == 1, q
+                checked += 1
+    assert checked == 1711
 
 
 def test_oracle_matches_rules_spot():
