@@ -11,11 +11,12 @@ Straight: pass i writes i, and pattern row j is shape row j read from
 the left.  Rotated: pass i writes n+1-i, and pattern row j is bottom-row
 j read from the right.  The passes depend on the pattern alone, so
 `_strips_of` validates a pattern once and runs them once per orientation,
-keeping the unmarked cells in the pattern's own `_strips` slot; `_expand`
-copies them and adds the marks of each marking.  `upsilon_inverse` and
-`omega_inverse` read the cells through the same frame, and `_contract`
-undoes the passes in one sweep, accepting exactly the semistandard
-fillings with entries at most n.  `check_marks` is the one test of a
+keeping the unmarked cell masks in the pattern's own `_strips` slot;
+`_expand` copies them and ORs in the marks of each marking.
+`upsilon_inverse` and `omega_inverse` slice the masks into pattern rows
+through the same frame, and `_contract` undoes the passes from a cached
+reading of each row, accepting exactly the semistandard fillings with
+entries at most n.  `check_marks` is the one test of a
 marking, shared by the `MarkedGTPattern` constructor, `_contract` and the
 gamma path in `lr`.
 """
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotRotatedShape, NotStraightShape
 from .shapes import Partition, RotatedShape, rotate, skew
-from .tableaux import SetValuedFilling
+from .tableaux import MAX_ENTRY, SetValuedFilling, weight
 
 
 class GTPattern:
@@ -175,21 +176,19 @@ def marked_patterns(pattern: GTPattern):
 
 @lru_cache(maxsize=1024)
 def _frame(parts: tuple, rotated: bool) -> tuple:
-    """The straight or rotated shape over bottom row `parts` (zeros allowed),
-    with (sign, row0, col0): pattern row j, cell c is at (row0 + sign*j,
-    col0 + sign*c).  Shapes are immutable, so every caller shares one."""
+    """(shape, starts): the straight or rotated shape over bottom row
+    `parts` (zeros allowed), shared by every caller, and where pattern row
+    j starts in strip order, cell 1 first: the shape's cell order, reversed
+    when rotated, since pattern row j is then bottom row j from the right."""
     lam = Partition(parts)
-    if rotated:
-        return rotate(lam), -1, len(lam) + 1, lam[0] + 1
-    return skew(lam, ()), 1, 0, 0
+    return rotate(lam) if rotated else skew(lam, ()), tuple(itertools.accumulate(parts, initial=0))
 
 
 def _strips_of(pattern: GTPattern, rotated: bool) -> tuple:
-    """(shape, sign, row0, col0, entries) of `pattern` expanded in one
-    orientation with no marks, placed by `_frame`; DomainError unless the
-    pattern is valid.  Validated once per pattern and built once per
-    orientation, then kept in the pattern's `_strips` slot; a pattern that
-    fails keeps nothing."""
+    """(shape, starts, masks) of `pattern` expanded in one orientation with
+    no marks, in `_frame`'s strip order; DomainError unless the pattern is
+    valid.  Validated once per pattern and built once per orientation, then
+    kept in the pattern's `_strips` slot; a pattern that fails keeps nothing."""
     memo = getattr(pattern, "_strips", None)
     if memo is None:
         if not validate(pattern):
@@ -199,16 +198,16 @@ def _strips_of(pattern: GTPattern, rotated: bool) -> tuple:
         return memo[rotated]
     rows = pattern.rows
     n = len(rows)
-    shape, sign, row0, col0 = _frame(rows[-1] if n else (), rotated)
-    entries = {}
+    shape, starts = _frame(rows[-1] if n else (), rotated)
+    masks = [0] * starts[-1]
     for i in range(1, n + 1):
-        label = frozenset((n + 1 - i if rotated else i,))
+        bit = 1 << (n - i if rotated else i - 1)  # label n+1-i or i
         above = rows[i - 2] if i > 1 else ()
         for j, width in enumerate(rows[i - 1], start=1):
             have = above[j - 1] if j < i else 0
-            for c in range(have + 1, width + 1):
-                entries[(row0 + sign * j, col0 + sign * c)] = label
-    memo[rotated] = strips = (shape, sign, row0, col0, entries)
+            for c in range(have, width):
+                masks[starts[j - 1] + c] = bit
+    memo[rotated] = strips = (shape, starts, tuple(masks))
     return strips
 
 
@@ -219,18 +218,17 @@ def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
     every pattern row j; a mark (i, j) adds the label to cell x(i-1, j),
     the last cell row j had before the pass.  The passes depend on the
     pattern alone, so `_strips_of` runs them once per pattern and
-    orientation; each marking copies that dict and adds its mark labels,
-    in any order, since a cell's label set is a union.
+    orientation; each marking copies those masks and ORs in its mark
+    labels, in any order, since a cell's label set is a union.
     """
     pattern = marked.pattern
-    shape, sign, row0, col0, entries = _strips_of(pattern, rotated)
-    entries = dict(entries)
+    shape, starts, strips = _strips_of(pattern, rotated)
+    masks = list(strips)
     rows = pattern.rows
     n = len(rows)
     for (i, j) in marked.marks:  # markable: x(i-1, j) > x(i, j+1) >= 0
-        cell = (row0 + sign * j, col0 + sign * rows[i - 2][j - 1])
-        entries[cell] = entries[cell] | {n + 1 - i if rotated else i}
-    return SetValuedFilling._trusted(shape, entries)
+        masks[starts[j - 1] + rows[i - 2][j - 1] - 1] |= 1 << (n - i if rotated else i - 1)
+    return SetValuedFilling._trusted(shape, tuple(masks[::-1] if rotated else masks))
 
 
 def upsilon(marked: MarkedGTPattern) -> SetValuedFilling:
@@ -257,53 +255,35 @@ def omega(marked: MarkedGTPattern) -> SetValuedFilling:
 
 
 def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
-    """The inverse of `_expand`, in one pass over the cell sets of each
-    pattern row in strip order, for a filling with at most n pattern rows.
+    """The inverse of `_expand`, for a filling with at most n pattern rows
+    and entries at most n, as one tuple of cell masks per pattern row.
 
     A value v reads as its pass label, v or n+1-v when rotated.  A cell's
     key, its smallest label, is the pass that created it, and every larger
-    label is one mark; a singleton cell, the common case, is read as its
-    key alone.  x(i, j) counts the cells of row j with key at most i, from
-    a running histogram of the row's keys.
+    label is one mark.  x(i, j) counts the cells of row j with key at most
+    i.  The same few rows recur across fillings, so the cached `_read_row`
+    reads each row, and its results are combined here.
 
     Exactly the semistandard fillings invert.  Failures raise DomainError,
-    checked in this order: no entry exceeds n (raised where the pass meets
-    it, before its label can index the histogram); the keys of row j are
-    at least j and non-decreasing (reported at the first pass i, then row,
-    where a key i lies below row i or after a larger key); the pattern
-    interlaces; the marks are markable, each by its own slack; each mark
-    (v, j) sits in cell x(v-1, j), the last with key at most v-1, so no
-    cell's largest label exceeds the next key.
+    checked in this order (an entry above n is `_read`'s to refuse): the
+    keys of row j are at least j and non-decreasing (reported at the first
+    pass i, then row, where a key i lies below row i or after a larger
+    key); the pattern interlaces; the marks are markable, each by its own
+    slack; each mark (v, j) sits in cell x(v-1, j), the last with key at
+    most v-1, so no cell's largest label exceeds the next key.
     """
-    marks = set()
-    counts = []
-    first = None  # (pass, row, not justified) of the first unjustified key
-    loose = False
+    marks, counts, first, loose = set(), [], None, False
     for j, row in enumerate(rows, start=1):
-        hist = [0] * n
-        low = high = j  # floors for the next key: the last key, the last label
-        for vals in row:
-            if len(vals) == 1:  # most cells: the key alone, no marks
-                (key,) = vals
-                if rotated:
-                    key = n + 1 - key
-                top = key
-            else:
-                labels = [n + 1 - v for v in vals] if rotated else vals
-                key, top = min(labels), max(labels)
-                marks.update((v, j) for v in labels if v != key)
-            if key < 1 or top > n:  # an entry above n, read straight or rotated
-                raise DomainError(f"filling does not fit in a pattern of size {n}")
-            if key < high:
-                if key < low and (first is None or (key, j) < first[:2]):
-                    first = (key, j, key >= j)
-                loose = True
-            low, high = key, top
-            hist[key - 1] += 1
-        counts.append(list(itertools.accumulate(hist)))
+        row_counts, labels, key, row_loose = _read_row(row, j, n, rotated)
+        if key and (first is None or key < first[0]):  # the first unjustified key
+            first = (key, j)
+        loose = loose or row_loose
+        if labels:
+            marks.update([(v, j) for v in labels])
+        counts.append(row_counts)
     if first:
-        i, _, not_justified = first
-        if not_justified:
+        i, j = first
+        if i >= j:
             raise DomainError("cells with large maxima are not right justified"
                               if rotated else
                               "cells with small minima are not left justified")
@@ -324,18 +304,41 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     return MarkedGTPattern._trusted(pattern, frozenset(marks))
 
 
+@lru_cache(maxsize=256)
+def _read_row(row: tuple, j: int, n: int, rotated: bool) -> tuple:
+    """(counts, marks, unjustified, loose) of pattern row j with cell masks
+    `row`: x(i, j) for i = 1..n; the labels v of its marks (v, j); the
+    smallest key below the key before it (j before the first), or None;
+    and whether some key lies below the largest label before it."""
+    hist, marks, unjustified, loose = [0] * n, [], None, False
+    low = high = j  # floors for the next key: the last key, the last label
+    for m in row:
+        labels = [n - v if rotated else v + 1 for v in range(m.bit_length()) if m >> v & 1]
+        key, top = min(labels), max(labels)
+        marks += [v for v in labels if v != key]
+        if key < high:
+            if key < low and (unjustified is None or key < unjustified):
+                unjustified = key
+            loose = True
+        low, high = key, top
+        hist[key - 1] += 1
+    return tuple(itertools.accumulate(hist)), tuple(marks), unjustified, loose
+
+
 def _read(filling: SetValuedFilling, lam: Partition, n, rotated: bool) -> MarkedGTPattern:
-    """Contract `filling` of the straight or rotated shape of `lam`, reading
-    pattern row j, cell c where `_frame` puts it for `_expand`; `n` defaults
-    to the larger of the top entry and the row count."""
-    _, sign, row0, col0 = _frame(lam, rotated)
-    entries = filling.entries
-    rows = [[entries[(row0 + sign * j, col0 + sign * c)] for c in range(1, width + 1)]
-            for j, width in enumerate(lam, start=1)]
+    """Contract `filling` of the straight or rotated shape of `lam`, in the
+    strip order `_expand` writes; `n` defaults to the larger of the top
+    entry and the row count, and is at most `MAX_ENTRY`."""
+    masks = filling.masks[::-1] if rotated else filling.masks
+    starts = _frame(lam, rotated)[1]
+    rows = [masks[a:b] for a, b in zip(starts, starts[1:])]
+    top = max(masks, default=0).bit_length()  # the largest entry, 0 if none
     if n is None:
-        n = max(max(map(max, entries.values()), default=0), len(rows))
-    elif len(rows) > n:  # an entry above n is `_contract`'s to find
+        n = max(top, len(rows))
+    elif max(top, len(rows)) > n:
         raise DomainError(f"filling does not fit in a pattern of size {n}")
+    if n > MAX_ENTRY:
+        raise DomainError(f"n={n} is above the largest entry {MAX_ENTRY}")
     return _contract(rows, n, rotated)
 
 
@@ -373,8 +376,6 @@ def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
 
 def weight_reversal_check(marked: MarkedGTPattern) -> bool:
     """Weight of the rotated image equals the reversed weight of the straight one."""
-    from .tableaux import weight
-
     n = marked.n
     straight = weight(upsilon(marked), n)
     rotated = weight(omega(marked), n)

@@ -1,26 +1,33 @@
 """Set-valued fillings of skew shapes: predicates, words, weights, enumeration.
 
-A filling assigns a non-empty set of positive integers to every cell of
-its shape.  Semistandard means rows weakly increase (max of a cell is at
-most the min of its right neighbour) and columns strictly increase.
-Weights and words are plain tuples of ints.
+A filling assigns a non-empty set of positive integers, at most
+`MAX_ENTRY`, to every cell of its shape, and keeps each set as a bitmask.
+Semistandard means rows weakly increase (max of a cell is at most the min
+of its right neighbour) and columns strictly increase.  Weights and words
+are plain tuples of ints.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .shapes import Partition, SkewShape, skew
+
+# the largest entry of a filling, and of n in the inverse bijections: masks grow with it
+MAX_ENTRY = 1024
 
 
 class SetValuedFilling:
     """Immutable assignment of entry sets to the cells of a skew shape.
 
+    `masks` holds one int per cell in `shape.cells()` order, value v as
+    bit v-1, the form `enumerate_svt` searches in; `entries` is a view.
     Semistandardness is a predicate, not a construction invariant, so
     invalid fillings can be represented and rejected explicitly.
     """
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ("shape", "masks")
 
     def __init__(self, shape: SkewShape, entries):
         clean = {}
@@ -28,19 +35,22 @@ class SetValuedFilling:
             vals = frozenset(int(v) for v in values)
             if not vals or min(vals) < 1:
                 raise ValueError(f"cell {cell} needs a non-empty set of positive integers")
-            clean[cell] = vals
-        if set(clean) != set(shape.cells()):
+            if max(vals) > MAX_ENTRY:
+                raise ValueError(f"cell {cell} holds an entry above {MAX_ENTRY}")
+            clean[cell] = sum(1 << (v - 1) for v in vals)
+        cells = _layout(shape)[0]
+        if clean.keys() != set(cells):
             raise ValueError("entries do not cover the shape exactly")
         self.shape = shape
-        self.entries = clean
+        self.masks = tuple(clean[cell] for cell in cells)
 
     @classmethod
-    def _trusted(cls, shape: SkewShape, entries: dict):
-        """Wrap `entries` unchecked: the caller guarantees that they map
-        exactly the cells of `shape` to non-empty frozensets of positive ints."""
+    def _trusted(cls, shape: SkewShape, masks: tuple):
+        """Wrap `masks` unchecked: the caller guarantees one non-zero int
+        per cell of `shape`, in `shape.cells()` order."""
         self = cls.__new__(cls)
         self.shape = shape
-        self.entries = entries
+        self.masks = masks
         return self
 
     @classmethod
@@ -50,32 +60,36 @@ class SetValuedFilling:
         `rows` must have one list per shape row, each listing the cells
         of that row left to right.
         """
-        entries = {}
         if len(rows) != shape.num_rows:
             raise ValueError(f"expected {shape.num_rows} rows, got {len(rows)}")
-        for r, row in enumerate(rows, start=1):
-            cols = list(shape.row_cols(r))
-            if len(row) != len(cols):
-                raise ValueError(f"row {r} expects {len(cols)} cells, got {len(row)}")
-            for c, values in zip(cols, row):
-                entries[(r, c)] = values
+        cells, _, _, slices = _layout(shape)
+        entries = {}
+        for r, (row, s) in enumerate(zip(rows, slices), start=1):
+            if len(row) != len(cells[s]):
+                raise ValueError(f"row {r} expects {len(cells[s])} cells, got {len(row)}")
+            entries.update(zip(cells[s], row))
         return cls(shape, entries)
+
+    @property
+    def entries(self) -> dict:
+        """{(row, col): frozenset of values}, in `shape.cells()` order."""
+        return dict(zip(_layout(self.shape)[0], map(_mask_set, self.masks)))
 
     def rows(self) -> list:
         """Entry sets row by row, top to bottom, left to right."""
-        return [[self.entries[(r, c)] for c in self.shape.row_cols(r)]
-                for r in range(1, self.shape.num_rows + 1)]
+        return [[_mask_set(m) for m in self.masks[s]] for s in _layout(self.shape)[3]]
 
     def num_cells(self) -> int:
-        return len(self.entries)
+        return len(self.masks)
 
     def __eq__(self, other):
         if isinstance(other, SetValuedFilling):
-            return self.shape == other.shape and self.entries == other.entries
+            return self.masks == other.masks and self.shape == other.shape
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.shape, frozenset(self.entries.items())))
+        # equality also reads the shape; the fillings of one set mostly share it
+        return hash(self.masks)
 
     def __repr__(self):
         body = "; ".join(
@@ -84,60 +98,65 @@ class SetValuedFilling:
         return f"<filling {self.shape!r} [{body}]>"
 
 
-def is_semistandard(filling: SetValuedFilling) -> bool:
-    """Rows weakly increase left to right, columns strictly increase downward.
+@lru_cache(maxsize=1024)
+def _layout(shape: SkewShape) -> tuple:
+    """(cells, left, up, rows) of `shape`, built once: its cells in row-major
+    order, the index of each one's left and upper neighbour (None if absent),
+    and per shape row, top to bottom, the slice of its cell indices."""
+    cells = tuple(shape.cells())
+    index = {cell: i for i, cell in enumerate(cells)}
+    ends = tuple(accumulate(len(shape.row_cols(r)) for r in range(1, shape.num_rows + 1)))
+    return (cells, tuple(index.get((r, c - 1)) for r, c in cells),
+            tuple(index.get((r - 1, c)) for r, c in cells), tuple(map(slice, (0,) + ends, ends)))
 
-    A neighbour is a cell of the shape exactly when it is a key of `entries`."""
-    entries = filling.entries
-    for (r, c), vals in entries.items():
-        left = entries.get((r, c - 1))
-        if left is not None and max(left) > min(vals):
+
+def is_semistandard(filling: SetValuedFilling) -> bool:
+    """Rows weakly increase left to right, columns strictly increase downward."""
+    masks = filling.masks
+    _, left, up, _ = _layout(filling.shape)
+    for m, li, ui in zip(masks, left, up):
+        low = (m & -m).bit_length()  # the smallest value of the cell
+        if li is not None and masks[li].bit_length() > low:
             return False
-        above = entries.get((r - 1, c))
-        if above is not None and max(above) >= min(vals):
+        if ui is not None and masks[ui].bit_length() >= low:
             return False
     return True
 
 
 def weight(filling: SetValuedFilling, n=None) -> tuple:
     """Multiplicity vector: component i-1 counts the cells containing i."""
-    values = filling.entries.values()
-    counts = [0] * (max(map(max, values), default=0) if n is None else n)
-    try:
-        for vals in values:
-            for v in vals:
-                counts[v - 1] += 1
-    except IndexError:  # entries are positive, so some entry exceeds n
-        top = max(map(max, values))
-        raise ValueError(f"entry {top} exceeds requested length {n}") from None
+    masks = filling.masks
+    top = max(masks, default=0).bit_length()  # the largest entry
+    counts = [0] * (top if n is None else n)
+    if top > len(counts):
+        raise ValueError(f"entry {top} exceeds requested length {n}")
+    for m in masks:
+        for v in _mask_set(m):
+            counts[v - 1] += 1
     return tuple(counts)
 
 
 def total_entries(filling: SetValuedFilling) -> int:
     """Sum of entry-set sizes over all cells."""
-    return sum(len(vals) for vals in filling.entries.values())
+    return sum(m.bit_count() for m in filling.masks)
 
 
 def column_word(filling: SetValuedFilling) -> tuple:
     """Columns right to left; in a column top to bottom; in a cell decreasing."""
-    shape = filling.shape
-    width = shape.outer[0] if shape.outer else 0
+    cells = _layout(filling.shape)[0]
     word = []
-    for c in range(width, 0, -1):
-        for r in range(1, shape.num_rows + 1):
-            vals = filling.entries.get((r, c))
-            if vals is not None:
-                word.extend(sorted(vals, reverse=True))
+    for i in sorted(range(len(cells)), key=lambda i: (-cells[i][1], cells[i][0])):
+        word.extend(sorted(_mask_set(filling.masks[i]), reverse=True))
     return tuple(word)
 
 
 def row_word(filling: SetValuedFilling) -> tuple:
     """Rows top to bottom; in a row right to left; in a cell decreasing."""
-    shape = filling.shape
+    masks = filling.masks
     word = []
-    for r in range(1, shape.num_rows + 1):
-        for c in reversed(shape.row_cols(r)):
-            word.extend(sorted(filling.entries[(r, c)], reverse=True))
+    for s in _layout(filling.shape)[3]:
+        for m in reversed(masks[s]):
+            word.extend(sorted(_mask_set(m), reverse=True))
     return tuple(word)
 
 
@@ -267,8 +286,7 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     def fill(pos, total, limit):
         if pos == ncells:
             if target is None or total == target_sum:
-                yield SetValuedFilling._trusted(
-                    shape, {cells[i]: _mask_set(masks[i]) for i in range(ncells)})
+                yield SetValuedFilling._trusted(shape, tuple(masks))
             return
         if lam is not None and row_start[pos]:
             limit = budget[:2] + [min(budget[v], lam[v - 2] + counts[v - 1] - lam[v - 1])
@@ -332,11 +350,10 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
 # searches meet the same few shapes again and again
 @lru_cache(maxsize=1024)
 def _plan(shape: SkewShape, w: int) -> tuple:
-    """(cells, left, up, row_start, span, cap, row_of, upto): the cells of
-    `shape` and the tables of `enumerate_svt`'s cuts for values 1..w, built
-    in one pass and kept as tuples, so that every search shares them.
+    """(cells, left, up, row_start, span, cap, row_of, upto): `_layout`'s
+    first three, then the tables of `enumerate_svt`'s cuts for values 1..w,
+    built in one pass and kept as tuples, so that every search shares them.
 
-    `left[i]` and `up[i]` index cell i's neighbours (None if absent),
     `row_start[i]` says whether cell i opens its row, `span[i]` is the
     bitmask of the values cell i can hold in a strictly increasing column,
     `cap[i][v]` the number of distinct columns among cells i.. whose span
@@ -344,14 +361,11 @@ def _plan(shape: SkewShape, w: int) -> tuple:
     cells, and `upto[k][v]` the number of cells in the rows before row k
     whose span holds v (k = 0 .. the number of rows).
     """
-    cells = tuple(shape.cells())
+    cells, left, up, _ = _layout(shape)
     outer, inner = shape.outer, shape.inner
-    index, left, up, row_start, span, row_of = {}, [], [], [], [], []
+    row_start, span, row_of = [], [], []
     upto = [[0] * (w + 1)]
     for i, (r, c) in enumerate(cells):
-        index[r, c] = i
-        left.append(index.get((r, c - 1)))
-        up.append(index.get((r - 1, c)))
         # column c holds rows #(inner parts >= c) + 1 .. #(outer parts >= c)
         above = r - 1 - sum(p >= c for p in inner)
         top = w - sum(p >= c for p in outer[r:])
@@ -375,5 +389,5 @@ def _plan(shape: SkewShape, w: int) -> tuple:
             new &= new - 1
         cap.append(tuple(running))
     cap.reverse()
-    return (cells, tuple(left), tuple(up), tuple(row_start), tuple(span), tuple(cap),
+    return (cells, left, up, tuple(row_start), tuple(span), tuple(cap),
             tuple(row_of), tuple(map(tuple, upto)))

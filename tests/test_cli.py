@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -259,6 +260,32 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+_HUGE_ENTRY = '{"outer": [2, 1], "inner": [], "rows": [[[1], [1000000000]], [[2]]]}'
+_SMALL = '{"outer": [1], "inner": [], "rows": [[[1]]]}'
+
+
+@pytest.mark.parametrize("argv, stdin, code, err", [
+    (["bijection", "--direction", "upsilon-inv"], _HUGE_ENTRY, 1,
+     "error: not a filling: cell (1, 2) holds an entry above 1024\n"),
+    (["word"], _HUGE_ENTRY, 1,
+     "error: not a filling: cell (1, 2) holds an entry above 1024\n"),
+    (["bijection", "--direction", "upsilon-inv", "--n", "1000000000"], _SMALL, 3,
+     "domain error: n=1000000000 is above the largest entry 1024\n"),
+    (["bijection", "--direction", "omega-inv", "--n", "1000000000"], _SMALL, 3,
+     "domain error: n=1000000000 is above the largest entry 1024\n"),
+])
+def test_entry_bound_refusals_allocate_nothing(argv, stdin, code, err):
+    # under an address-space limit a runaway allocation fails the test
+    # instead of taking down the machine that runs it
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrcalc", *argv], input=stdin, capture_output=True,
+        text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrcalc.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
 
 
 def test_verify_small_pass(capsys):

@@ -402,6 +402,46 @@ def test_upsilon_inverse_rejection_messages(rows, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("inverse, shape, rows, n, message", [
+    # unjustified keys in two rows: the smaller key wins, here in the later row
+    (upsilon_inverse, skew((2, 1)), [[{3}, {2}], [{1}]], 3,
+     "value at most 1 appears below row 1"),
+    (upsilon_inverse, skew((2, 1)), [[{3}, {2}], [{1}]], None,
+     "value at most 1 appears below row 1"),
+    (omega_inverse, rotate((2, 1)), [[{3}], [{2}, {1}]], 3,
+     "value at least 3 appears above row 1"),
+    # an entry above n in a row after an unjustified key
+    (upsilon_inverse, skew((2, 1)), [[{2}, {1}], [{5}]], 3,
+     "filling does not fit in a pattern of size 3"),
+    (omega_inverse, rotate((2, 1)), [[{5}], [{2}, {1}]], 3,
+     "filling does not fit in a pattern of size 3"),
+    (upsilon_inverse, skew((2, 1)), [[{2}, {1}], [{5}]], None,
+     "cells with small minima are not left justified"),
+    # a loose row with an interlacing failure, and with an unmarkable mark
+    (upsilon_inverse, skew((2, 1)), [[{2, 3}, {2}], [{2}]], 3,
+     "filling is not semistandard enough to invert"),
+    (omega_inverse, rotate((2, 1)), [[{2}], [{2}, {1, 2}]], 3,
+     "filling is not semistandard enough to invert"),
+    (upsilon_inverse, skew((2, 2)), [[{1, 2}, {1}], [{2}, {2}]], 2,
+     "recovered marks are not markable: positions not markable: [(2, 1)]"),
+])
+def test_inverse_error_priority_across_rows(inverse, shape, rows, n, message):
+    # two faults in different rows: which one is reported is pinned
+    with pytest.raises(DomainError) as info:
+        inverse(SetValuedFilling.from_rows(shape, rows), n)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("inverse, shape", [(upsilon_inverse, skew((1,))),
+                                            (omega_inverse, rotate((1,)))])
+def test_inverses_refuse_n_above_the_largest_entry(inverse, shape):
+    filling = SetValuedFilling.from_rows(shape, [[{1}]])
+    assert inverse(filling, 3).pattern.rows[-1] == (1, 0, 0)
+    with pytest.raises(DomainError, match=f"^n={tableaux.MAX_ENTRY + 1} is above "
+                                          f"the largest entry {tableaux.MAX_ENTRY}$"):
+        inverse(filling, tableaux.MAX_ENTRY + 1)
+
+
 @pytest.mark.parametrize("inverse, shape, rows, positions", [
     (upsilon_inverse, skew((1, 1)), [[{1, 2}], [{2}]], "[(2, 1)]"),
     (upsilon_inverse, skew((2, 1)), [[{1, 2, 3}, {3}], [{2}]], "[(2, 1), (3, 1)]"),

@@ -1,13 +1,14 @@
 import itertools
+import random
 import sys
 
 import pytest
 
 import worked_examples as wx
-from klrcalc import (SetValuedFilling, column_word, contains, enumerate_svt,
-                     is_dominant, is_lambda_dominant, is_semistandard,
-                     partitions_up_to, rotate, row_word, skew, superstandard,
-                     total_entries, weight)
+from klrcalc import (SetValuedFilling, SkewShape, column_word, contains,
+                     enumerate_svt, is_dominant, is_lambda_dominant,
+                     is_semistandard, partitions_up_to, rotate, row_word,
+                     skew, superstandard, total_entries, weight)
 from klrcalc import tableaux
 
 
@@ -289,6 +290,69 @@ def test_search_plan_is_built_once_per_shape_and_width():
     list(enumerate_svt(skew((3, 2), (1,)), 3, weight_filter=(2, 2)))  # w = 2
     info = tableaux._plan.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def test_entries_above_the_bound_are_refused():
+    top = tableaux.MAX_ENTRY
+    assert weight(SetValuedFilling(skew((1,)), {(1, 1): {top}})) == (0,) * (top - 1) + (1,)
+    for value in (top + 1, 10**9):
+        with pytest.raises(ValueError, match=rf"^cell \(1, 1\) holds an entry above {top}$"):
+            SetValuedFilling(skew((1,)), {(1, 1): {1, value}})
+
+
+def test_filling_reads_use_the_layout_once_built(monkeypatch):
+    shape = skew((3, 2, 1), (1,))
+    f = SetValuedFilling.from_rows(shape, [[{1}, {1, 2}], [{2}, {2, 3}], [{3}]])
+
+    def refuse(self, row):
+        raise AssertionError("row_cols read again")
+
+    monkeypatch.setattr(SkewShape, "row_cols", refuse)
+    assert f.rows() == [[{1}, {1, 2}], [{2}, {2, 3}], [{3}]]
+    assert row_word(f) == (2, 1, 1, 3, 2, 2, 3)
+    assert is_semistandard(f)
+
+
+def _reference_reads(shape, entries):
+    """weight, total entries, semistandardness, row word, column word and
+    rows of a plain {(row, col): frozenset} filling of `shape`."""
+    top = max((max(vals) for vals in entries.values()), default=0)
+    weight_ = tuple(sum(v in vals for vals in entries.values()) for v in range(1, top + 1))
+    semistandard = all(
+        ((r, c - 1) not in entries or max(entries[r, c - 1]) <= min(vals))
+        and ((r - 1, c) not in entries or max(entries[r - 1, c]) < min(vals))
+        for (r, c), vals in entries.items())
+    down = {cell: sorted(vals, reverse=True) for cell, vals in entries.items()}
+    rows = [[entries[r, c] for c in shape.row_cols(r)] for r in range(1, shape.num_rows + 1)]
+    row_word_ = [v for r, c in sorted(entries, key=lambda cell: (cell[0], -cell[1]))
+                 for v in down[r, c]]
+    column_word_ = [v for r, c in sorted(entries, key=lambda cell: (-cell[1], cell[0]))
+                    for v in down[r, c]]
+    return (weight_, sum(map(len, entries.values())), semistandard, tuple(row_word_),
+            tuple(column_word_), rows)
+
+
+def test_bitmask_fillings_read_as_frozenset_dicts():
+    shapes = [shape for shape in _bounded_skew_shapes(5) if shape.num_cells() <= 5]
+    shapes += [rotate(lam) for lam in partitions_up_to(5)]
+    fillings = [(f, f.entries) for shape in shapes for n in range(5)
+                for f in enumerate_svt(shape, n)]
+    assert len(fillings) == 60131
+    # and fillings that are not semistandard, through the public constructor
+    rng = random.Random(22)
+    for shape in shapes:
+        for _ in range(20):
+            entries = {cell: frozenset(rng.sample(range(1, 7), rng.randint(1, 3)))
+                       for cell in rng.sample(shape.cells(), shape.num_cells())}
+            if not _reference_reads(shape, entries)[2]:
+                fillings.append((SetValuedFilling(shape, entries), entries))
+    assert len(fillings) == 60131 + 2085
+    for f, entries in fillings:
+        again = SetValuedFilling(f.shape, entries)
+        assert again == f and hash(again) == hash(f) and f.entries == entries
+        assert (weight(f), total_entries(f), is_semistandard(f), row_word(f),
+                column_word(f), f.rows()) == _reference_reads(f.shape, entries)
+    assert sum(map(is_semistandard, (f for f, _ in fillings))) == 60131
 
 
 def test_weight_total_equals_entry_count():
