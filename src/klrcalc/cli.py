@@ -18,8 +18,8 @@ from .errors import (DomainError, InputError, KLRError, NotRotatedShape,
                      NotStraightShape)
 from .gtpatterns import omega, omega_inverse, upsilon, upsilon_inverse
 from .shapes import Partition, rotate, skew
-from .tableaux import (column_word, enumerate_svt, is_dominant, row_word,
-                       superstandard)
+from .tableaux import (MAX_ENTRY, column_word, enumerate_svt, is_dominant,
+                       row_word, superstandard)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,6 +113,8 @@ def _cmd_coeff(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.n < 0:
         raise InputError(f"--n must be >= 0, got {args.n}")
+    if args.n > MAX_ENTRY:  # no filling holds a larger entry
+        raise InputError(f"--n must be <= {MAX_ENTRY}, got {args.n}")
     count = 0
     for filling in enumerate_svt(args.shape, args.n, weight_filter=args.weight,
                                  singleton=args.singleton, dominant_for=args.dominant):

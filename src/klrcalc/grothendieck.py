@@ -44,9 +44,13 @@ the former, so scanning partitions largest-first makes the change of
 basis triangular.  That is exact: the input is checked symmetric and
 every basis element is an orbit sum, so the residual is always the
 orbit sum of its cone, and a nonzero symmetric polynomial has a nonzero
-partition monomial.  The oracle reads its basis cones and factors from
-`_dominant_table(n, cap)`, the public peels from `_g_cone`, so they stay
-its reference.
+partition monomial.  The public peels read `_g_cone` and stay the
+oracle's reference.  The oracle reads its basis cones and factors from
+`_dominant_table(n, cap)` and works in its packed keys end to end: each
+exponent vector is one int in base cap + 1, which no coordinate of a
+term of degree <= cap reaches, so adding keys adds vectors with no
+carry.  Each factor is trimmed by degree to what the other leaves under
+the cap, and the product is checked, cut to its cone and peeled unpacked.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import comb
-from operator import ge, itemgetter
+from operator import ge, itemgetter, mul
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
 from .shapes import Partition, contains, partitions, skew
@@ -127,14 +131,24 @@ class SparseIntPolynomial:
         return f"<poly n={self.n} terms={len(self.terms)} cap={self.cap}>"
 
 
-def _packed(terms: dict, base: int) -> list:
-    """(degree, key, coefficient) per term, the key read in base `base`."""
-    out = []
-    for e, c in terms.items():
-        key = 0
-        for x in e:
-            key = key * base + x
-        out.append((sum(e), key, c))
+def _packed(terms: dict, powers: list) -> list:
+    """(degree, key, coefficient) per term, the key sum(e_i * powers[i])."""
+    return [(sum(e), sum(map(mul, e, powers)), c) for e, c in terms.items()]
+
+
+def _packed_product(aterms, bterms, limit: int) -> dict:
+    """The product loop of `multiply` and the oracle: {key: coefficient},
+    zeros kept, of two `_packed` lists to degree `limit`.  bterms is
+    sorted by degree, so each inner loop stops at the first past it."""
+    out = {}
+    get = out.get
+    for da, ka, ca in aterms:
+        room = limit - da
+        for db, kb, cb in bterms:
+            if db > room:
+                break
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
     return out
 
 
@@ -148,9 +162,8 @@ def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> Sparse
     Inside the call each exponent vector is one int in base
     B = (largest exponent of a) + (largest exponent of b) + 1.  No
     coordinate of a product exponent reaches B, so adding two keys never
-    carries and adds the two vectors.  b's terms are sorted by degree
-    once, and each inner loop stops at the first term past the cap.
-    Sums that cancel to 0 are dropped when the keys are read back.
+    carries and adds the two vectors.  Sums that cancel to 0 are dropped
+    when the keys are read back.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} variables vs {b.n}")
@@ -161,18 +174,10 @@ def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> Sparse
     n = a.n
     base = (max(chain.from_iterable(a.terms), default=0)
             + max(chain.from_iterable(b.terms), default=0) + 1)
-    bterms = sorted(_packed(b.terms, base), key=itemgetter(0))
-    limit = cap if cap is not None else (base - 1) * n
-    out = {}
-    get = out.get
-    for da, ka, ca in _packed(a.terms, base):
-        room = limit - da
-        for db, kb, cb in bterms:
-            if db > room:
-                break
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
     powers = [base ** i for i in reversed(range(n))]
+    out = _packed_product(_packed(a.terms, powers),
+                          sorted(_packed(b.terms, powers), key=itemgetter(0)),
+                          cap if cap is not None else (base - 1) * n)
     return SparseIntPolynomial._trusted(
         n, {tuple([k // p % base for p in powers]): c for k, c in out.items() if c},
         cap)
@@ -313,9 +318,11 @@ def _partitions(d: int, n: int) -> tuple:
     return tuple(partitions(d, max_length=n))
 
 
-def _peel_cone(p: SparseIntPolynomial, degrees, basis: str, element) -> BasisExpansion:
-    """The coordinates of a symmetric `p` on `basis`, peeled off its
-    dominant cone in `degrees`; `element(nu)` is the cone of a basis element.
+def _peel_cone(residual: dict, degrees, n: int, basis: str, element, key,
+               exponent) -> BasisExpansion:
+    """The coordinates on `basis` of the symmetric polynomial with dominant
+    cone `residual` (consumed), peeled in `degrees`; `element(nu)` is a
+    basis element's cone, `key(nu)` the key of x^nu, `exponent` unpacks one.
 
     Partitions nu are visited in descending lexicographic order (a linear
     extension of dominance); the residual coefficient at nu's monomial is
@@ -325,13 +332,10 @@ def _peel_cone(p: SparseIntPolynomial, degrees, basis: str, element) -> BasisExp
     degrees: the lowest partition monomial left lies in the first degree
     that did not clear, and ResidualNonzero names it.
     """
-    residual = _cone(p.terms)  # a new dict, owned here
-    if p.terms != _orbit_sum(residual):
-        raise NotSymmetric(f"{p!r} is not symmetric up to degree {degrees[-1]}")
     coeffs = {}
     for d in degrees:
-        for nu in _partitions(d, p.n):
-            c = residual.get(nu.pad(p.n), 0)
+        for nu in _partitions(d, n):
+            c = residual.get(key(nu), 0)
             if not c:
                 continue
             coeffs[nu] = c
@@ -342,9 +346,17 @@ def _peel_cone(p: SparseIntPolynomial, degrees, basis: str, element) -> BasisExp
                 else:
                     del residual[e]
     if residual:
-        low = min(residual, key=lambda e: (sum(e), e))
+        low = min(map(exponent, residual), key=lambda e: (sum(e), e))
         raise ResidualNonzero(f"degree {sum(low)} did not clear; lowest monomial {low}")
     return BasisExpansion(basis, coeffs)
+
+
+def _peel(p: SparseIntPolynomial, degrees, basis: str, element) -> BasisExpansion:
+    """`_peel_cone` on exponent tuples, once `p` is checked symmetric."""
+    residual = _cone(p.terms)
+    if p.terms != _orbit_sum(residual):
+        raise NotSymmetric(f"{p!r} is not symmetric up to degree {degrees[-1]}")
+    return _peel_cone(residual, degrees, p.n, basis, element, lambda nu: nu.pad(p.n), tuple)
 
 
 def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
@@ -361,14 +373,14 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
         raise ValueError(f"cap {cap} is above the polynomial's cap {p.cap}")
     # a polynomial has no term above its own cap, so only a lower cap truncates
     kept = p if cap == p.cap else p.truncate(cap)
-    return _peel_cone(kept, range(cap + 1), "G", lambda nu: _g_cone(nu, (), p.n, cap))
+    return _peel(kept, range(cap + 1), "G", lambda nu: _g_cone(nu, (), p.n, cap))
 
 
 def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
     """Coordinates of a homogeneous symmetric `p` on the singleton basis:
     its lowest degree d peeled against the cones of s_nu, G_nu at cap d."""
     d = min((sum(e) for e in p.terms), default=0)
-    return _peel_cone(p, (d,), "s", lambda nu: _g_cone(nu, (), p.n, d))
+    return _peel(p, (d,), "s", lambda nu: _g_cone(nu, (), p.n, d))
 
 
 def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
@@ -386,28 +398,41 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
 # a session asks for a few (n, cap) pairs, and each table holds every
 # basis element of its pair
 @lru_cache(maxsize=64)
-def _dominant_table(n: int, cap: int) -> dict:
-    """{nu: G_nu at its partition exponents of degree <= cap}, for
-    every nu with at most n parts: `_chains` from the empty partition
-    with no outer shape.  Shared: callers must not mutate it."""
-    return _chains((), None, n, cap)
+def _dominant_table(n: int, cap: int) -> tuple:
+    """(cones, keys, powers): `_chains` from the empty partition, no outer
+    shape, each exponent vector e keyed sum(e_i * powers[i]) in base cap + 1.
+    cones: each nu with at most n parts to G_nu's partition-exponent terms
+    of degree <= cap, by degree; keys: each such nu's key to its exponent
+    vector and the keys of its orbit.  Shared: callers must not mutate it."""
+    chains = _chains((), None, n, cap)
+    powers = [(cap + 1) ** i for i in reversed(range(n))]
+    keys = {sum(map(mul, e, powers)): (e, tuple(sum(map(mul, o, powers)) for o in _orbit(e)))
+            for e in (nu + (0,) * (n - len(nu)) for nu in chains)}
+    cones = {nu: {k: c for _, k, c in sorted(_packed(g, powers))} for nu, g in chains.items()}
+    return cones, keys, powers
 
 
 # a verify sweep asks for each unordered pair once per (n, cap); the
 # bound caps long-lived sessions, as _g_cone's does
 @lru_cache(maxsize=1024)
 def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
-    """G_lam * G_mu peeled by `_peel_cone`, the factors (orbit sums; 0
-    past n parts) and basis cones read from `_dominant_table(n, cap)`.
-
-    The peel checks the product symmetric, so by the module docstring its
-    cone gives the full peel's coefficients, and a residual is left only
-    when a basis element is wrong.
+    """G_lam * G_mu in the packed keys of `_dominant_table(n, cap)`, each
+    factor the orbit sum of its cone (0 past n parts) less its terms above
+    cap - |other|, as no term of G_other lies below degree |other|.  The
+    product is checked symmetric, so by the module docstring its cone gives
+    the full peel's coefficients; a residual is left only by a wrong basis element.
     """
     for cells in (sum(lam), sum(mu)):
         if cap < cells:
             raise ValueError(f"cap {cap} is below the cell count {cells}")
-    table = _dominant_table(n, cap)
-    first, second = (SparseIntPolynomial._trusted(n, _orbit_sum(table.get(parts, {})), cap)
-                     for parts in (lam, mu))
-    return _peel_cone(multiply(first, second, cap), range(cap + 1), "G", table.__getitem__)
+    cones, keys, powers = _dominant_table(n, cap)
+    first, second = ([(d, o, c) for k, c in cones.get(parts, {}).items()
+                      if (d := sum(keys[k][0])) <= cap - sum(other) for o in keys[k][1]]
+                     for parts, other in ((lam, mu), (mu, lam)))
+    product = {k: c for k, c in _packed_product(first, second, cap).items() if c}
+    residual = {k: c for k, c in product.items() if k in keys}
+    if product != {o: c for k, c in residual.items() for o in keys[k][1]}:  # worded as `_peel`
+        raise NotSymmetric(f"<poly n={n} terms={len(product)} cap={cap}> is not symmetric "
+                           f"up to degree {cap}")
+    return _peel_cone(residual, range(sum(lam) + sum(mu), cap + 1), n, "G", cones.__getitem__,
+                      lambda nu: sum(map(mul, nu, powers)), lambda k: keys[k][0])

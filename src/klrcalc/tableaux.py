@@ -245,6 +245,8 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
        rows that can hold v-1).
     """
     n = int(n)
+    if n > MAX_ENTRY:
+        raise ValueError(f"n={n} is above the largest entry {MAX_ENTRY}")
     target, target_sum, w = None, 0, n
     if weight_filter is not None:
         target = tuple(int(t) for t in weight_filter)

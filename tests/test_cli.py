@@ -83,6 +83,18 @@ def test_enumerate_refuses_a_negative_n(capsys):
     assert code == 0 and json.loads(out.strip().splitlines()[-1]) == {"count": 1}
 
 
+def test_enumerate_refuses_an_n_above_the_largest_entry(capsys):
+    # a filling with an entry above MAX_ENTRY is one the rest of the CLI refuses
+    top = klrcalc.tableaux.MAX_ENTRY
+    weight = ",".join(["0"] * top + ["1"])
+    code, out, err = run(capsys, "enumerate", "--shape", "1", "--n", str(top + 1),
+                         "--weight", weight)
+    assert (code, out, err) == (1, "", f"error: --n must be <= {top}, got {top + 1}\n")
+    code, out, _ = run(capsys, "enumerate", "--shape", "1", "--n", str(top),
+                       "--weight", ",".join(["0"] * (top - 1) + ["1"]))
+    assert code == 0 and out.splitlines()[0] == f'{{"outer": [1], "inner": [], "rows": [[[{top}]]]}}'
+
+
 def test_enumerate_output_reparses_identically(capsys):
     code, out, _ = run(capsys, "enumerate", "--shape", "2,1", "--n", "2")
     for line in out.strip().splitlines()[:-1]:

@@ -1,7 +1,7 @@
 import random
 from itertools import permutations
 from math import comb
-from operator import add
+from operator import add, mul
 
 import pytest
 
@@ -188,21 +188,30 @@ def test_expand_product_is_the_same_in_both_orders():
 
 
 def test_multiply_matches_reference_on_verify_products(monkeypatch):
+    # the oracle runs multiply's product loop on packed keys; each of its
+    # products, read back as exponent tuples, is the reference product
     products = []
-    real = grothendieck.multiply
+    real = grothendieck._packed_product
 
-    def recording(a, b, cap=None):
-        products.append((a, b, cap))
-        return real(a, b, cap)
+    def recording(a, b, limit):
+        out = real(a, b, limit)
+        products.append((a, b, limit, out))
+        return out
 
-    monkeypatch.setattr(grothendieck, "multiply", recording)
+    monkeypatch.setattr(grothendieck, "_packed_product", recording)
     grothendieck._expand_product.cache_clear()  # so every product is made here
     assert all(r.ok for r in verify.run_verify(3, 3, jobs=1))
     factors = len(list(partitions_up_to(3, max_length=3)))
     # one per unordered pair {lam, mu} of verify 3/3: the cap is symmetric
     assert len(products) == factors * (factors + 1) // 2
-    for a, b, cap in products:
-        _assert_multiply_matches_reference(a, b, cap)
+    for a, b, cap, out in products:
+        powers = [(cap + 1) ** i for i in reversed(range(3))]  # n = 3, base cap + 1
+
+        def unpacked(terms):
+            return {tuple(k // p % (cap + 1) for p in powers): c for k, c in terms if c}
+
+        fa, fb = (SparseIntPolynomial(3, unpacked((k, c) for _, k, c in f)) for f in (a, b))
+        assert unpacked(out.items()) == multiply_reference(fa, fb, cap).terms
 
 
 def test_multiply_default_cap_keeps_a_nonzero_product():
@@ -299,9 +308,10 @@ def test_expand_product_residual_message(monkeypatch):
     real = grothendieck._dominant_table
 
     def lossy(n, cap):
-        table = dict(real(n, cap))  # G_(2,1) loses x1^2 x2
-        table[(2, 1)] = {e: c for e, c in table[(2, 1)].items() if e != (2, 1)}
-        return table
+        cones, keys, powers = real(n, cap)
+        cones = dict(cones)  # G_(2,1) loses x1^2 x2
+        cones[(2, 1)] = {k: c for k, c in cones[(2, 1)].items() if keys[k][0] != (2, 1)}
+        return cones, keys, powers
 
     monkeypatch.setattr(grothendieck, "_dominant_table", lossy)
     grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
@@ -314,14 +324,14 @@ def test_expand_product_reports_an_asymmetric_product(monkeypatch):
     # the oracle peels the product's partition monomials alone, which is
     # exact only for a symmetric product; a product that lost x2^2 must
     # be refused before the peel, not peeled to wrong coefficients
-    real = grothendieck.multiply
+    real = grothendieck._packed_product
+    _, _, powers = grothendieck._dominant_table(2, 2)
+    lost = sum(map(mul, (0, 2), powers))
 
-    def lossy(a, b, cap=None):
-        p = real(a, b, cap)
-        return SparseIntPolynomial(p.n, {e: c for e, c in p.terms.items()
-                                         if e != (0, 2)}, p.cap)
+    def lossy(a, b, limit):
+        return {k: c for k, c in real(a, b, limit).items() if k != lost}
 
-    monkeypatch.setattr(grothendieck, "multiply", lossy)
+    monkeypatch.setattr(grothendieck, "_packed_product", lossy)
     grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
     with pytest.raises(NotSymmetric) as info:
         grothendieck.expand_product((1,), (1,), 2, 2)
@@ -348,19 +358,26 @@ def test_expand_product_matches_full_peel():
 
 
 def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
-    # the factors come from the table the peel reads, so the oracle works
-    # with the public builders' cache patched to raise
+    # the factors come from the table the peel reads, and the product stays
+    # in packed keys, so the oracle works with the public builders' cache,
+    # multiply and the polynomial constructor patched to raise; its
+    # coefficients are still those of the public reference peel
     cases = [(lam.parts, mu.parts, n, lam.size() + mu.size() + 2)
              for lam in partitions_up_to(3) for mu in partitions_up_to(3)
              for n in range(4)]
-    grothendieck._expand_product.cache_clear()
-    expected = [grothendieck.expand_product(*case).coeffs for case in cases]
+    expected = [expand_in_g_basis(multiply(grothendieck_poly(lam, (), n, cap),
+                                           grothendieck_poly(mu, (), n, cap), cap), cap).coeffs
+                for lam, mu, n, cap in cases]
 
-    def refuse(*args):
-        raise AssertionError("the oracle built a basis polynomial of its own")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle built a polynomial of its own")
 
     monkeypatch.setattr(grothendieck, "_g_cone", refuse)
-    grothendieck._expand_product.cache_clear()
+    monkeypatch.setattr(grothendieck, "multiply", refuse)
+    monkeypatch.setattr(SparseIntPolynomial, "_trusted", refuse)
+    for cache in (grothendieck._expand_product, grothendieck._dominant_table,
+                  grothendieck._orbit, grothendieck._partitions):
+        cache.cache_clear()  # no cached product or table hides a call
     assert [grothendieck.expand_product(*case).coeffs for case in cases] == expected
     assert any(len(lam) > n and not coeffs
                for (lam, _, n, _), coeffs in zip(cases, expected))
@@ -514,11 +531,11 @@ def test_chain_recursion_matches_enumeration():
     for n in range(5):
         for nu in partitions_up_to(6):
             for cap in range(nu.size(), nu.size() + 4):
-                table = grothendieck._dominant_table(n, cap)
-                assert set(table) == {k.parts for k in partitions_up_to(cap, max_length=n)}
+                cones, keys, _ = grothendieck._dominant_table(n, cap)
+                assert set(cones) == {k.parts for k in partitions_up_to(cap, max_length=n)}
                 expected = {e: c for e, c in grothendieck_poly(nu, (), n, cap).terms.items()
                             if list(e) == sorted(e, reverse=True)}
-                got = table[nu.parts] if len(nu) <= n else {}
+                got = {keys[k][0]: c for k, c in cones[nu.parts].items()} if len(nu) <= n else {}
                 assert got == expected, (nu, n, cap)
                 checked += bool(expected)
     assert checked > 250
@@ -592,9 +609,9 @@ def test_bialternant_formulas():
             assert multiply(g, vandermonde) == _bialternant(lam, n, True), (lam, n)
             # the dominant table keeps the partition exponents of G_lam; a
             # symmetric polynomial is the orbit sum of those
-            dominant = grothendieck._dominant_table(n, n * lam.size())[lam.parts]
-            orbits = SparseIntPolynomial(n, {e: c for d, c in dominant.items()
-                                             for e in set(permutations(d))})
+            cones, keys, _ = grothendieck._dominant_table(n, n * lam.size())
+            orbits = SparseIntPolynomial(n, {e: c for k, c in cones[lam.parts].items()
+                                             for e in set(permutations(keys[k][0]))})
             assert multiply(orbits, vandermonde) == _bialternant(lam, n, True), (lam, n)
             s = schur_poly(lam, (), n)
             assert multiply(s, vandermonde) == _bialternant(lam, n, False), (lam, n)

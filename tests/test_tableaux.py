@@ -300,6 +300,14 @@ def test_entries_above_the_bound_are_refused():
             SetValuedFilling(skew((1,)), {(1, 1): {1, value}})
 
 
+def test_enumeration_refuses_an_n_above_the_bound():
+    top = tableaux.MAX_ENTRY
+    with pytest.raises(ValueError, match=rf"^n={top + 1} is above the largest entry {top}$"):
+        list(enumerate_svt(skew((1,)), top + 1, weight_filter=(0,) * top + (1,)))
+    assert [f.masks for f in enumerate_svt(skew((1,)), top, weight_filter=(0,) * (top - 1) + (1,))] \
+        == [(1 << (top - 1),)]
+
+
 def test_filling_reads_use_the_layout_once_built(monkeypatch):
     shape = skew((3, 2, 1), (1,))
     f = SetValuedFilling.from_rows(shape, [[{1}, {1, 2}], [{2}, {2, 3}], [{3}]])
