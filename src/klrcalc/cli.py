@@ -193,7 +193,8 @@ def _cmd_expand(args) -> int:
     _max_cap_guard(cap)
     if args.basis == "g":
         expansion = grothendieck.expand_product(lam, mu, n, cap)
-    else:
+    else:  # every nu of the product has |lam| + |mu| cells, so at most that many parts
+        n = min(n, lam.size() + mu.size())
         product = grothendieck.multiply(
             grothendieck.schur_poly(lam, (), n),
             grothendieck.schur_poly(mu, (), n))

@@ -44,22 +44,24 @@ the former, so scanning partitions largest-first makes the change of
 basis triangular.  That is exact: the input is checked symmetric and
 every basis element is an orbit sum, so the residual is always the
 orbit sum of its cone, and a nonzero symmetric polynomial has a nonzero
-partition monomial.  The public peels read `_g_cone` and stay the
-oracle's reference.  The oracle reads its basis cones and factors from
-`_dominant_table(n, cap)` and works in its packed keys end to end: each
-exponent vector is one int in base cap + 1, which no coordinate of a
-term of degree <= cap reaches, so adding keys adds vectors with no
-carry.  Each factor is trimmed by degree to what the other leaves under
-the cap, and the product is checked, cut to its cone and peeled unpacked.
+partition monomial.  Only the oracle packs.  It reads its basis cones
+and factors from `_dominant_table(n, cap)` and works in its packed keys
+end to end: each exponent vector is one int in base cap + 1, which no
+coordinate of a term of degree <= cap reaches, so adding keys adds
+vectors with no carry.  Each factor is trimmed by degree to what the
+other leaves under the cap, and the product is checked, cut to its cone
+and peeled unpacked.  `multiply` and the public peels work on exponent
+tuples, read `_g_cone` and share no loop with the oracle, so they stay
+its plain reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from math import comb
-from operator import ge, itemgetter, mul
+from operator import add, ge, mul
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
 from .shapes import Partition, contains, partitions, skew
@@ -94,19 +96,6 @@ class SparseIntPolynomial:
                 clean.pop(exp, None)
         self.terms = clean
 
-    @classmethod
-    def _trusted(cls, n: int, terms: dict, cap=None):
-        """Wrap `terms` without copying or checking it.
-
-        For dicts that are already clean: exponent tuples of length n,
-        non-zero int coefficients, no term of degree above `cap`.
-        """
-        p = object.__new__(cls)
-        p.n = n
-        p.terms = terms
-        p.cap = cap
-        return p
-
     def coefficient(self, exp) -> int:
         return self.terms.get(tuple(exp), 0)
 
@@ -114,10 +103,7 @@ class SparseIntPolynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def truncate(self, cap) -> "SparseIntPolynomial":
-        return SparseIntPolynomial._trusted(
-            self.n,
-            {e: c for e, c in self.terms.items() if cap is None or sum(e) <= cap},
-            cap)
+        return SparseIntPolynomial(self.n, self.terms, cap)
 
     def __eq__(self, other):
         if isinstance(other, SparseIntPolynomial):
@@ -131,14 +117,9 @@ class SparseIntPolynomial:
         return f"<poly n={self.n} terms={len(self.terms)} cap={self.cap}>"
 
 
-def _packed(terms: dict, powers: list) -> list:
-    """(degree, key, coefficient) per term, the key sum(e_i * powers[i])."""
-    return [(sum(e), sum(map(mul, e, powers)), c) for e, c in terms.items()]
-
-
 def _packed_product(aterms, bterms, limit: int) -> dict:
-    """The product loop of `multiply` and the oracle: {key: coefficient},
-    zeros kept, of two `_packed` lists to degree `limit`.  bterms is
+    """The oracle's product loop: {key: coefficient}, zeros kept, of two
+    lists of (degree, key, coefficient) to degree `limit`.  bterms is
     sorted by degree, so each inner loop stops at the first past it."""
     out = {}
     get = out.get
@@ -159,11 +140,8 @@ def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> Sparse
     a factor capped at c bounds it by c plus the other factor's lowest
     degree (0 for an empty factor, which errs low); an uncapped one by nothing.
 
-    Inside the call each exponent vector is one int in base
-    B = (largest exponent of a) + (largest exponent of b) + 1.  No
-    coordinate of a product exponent reaches B, so adding two keys never
-    carries and adds the two vectors.  Sums that cancel to 0 are dropped
-    when the keys are read back.
+    The oracle's plain reference: the exponent tuples of each pair of terms
+    are added, and the constructor cuts the sums at the cap and drops zeros.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} variables vs {b.n}")
@@ -171,16 +149,11 @@ def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> Sparse
         caps = [x.cap + min(map(sum, y.terms), default=0)
                 for x, y in ((a, b), (b, a)) if x.cap is not None]
         cap = min(caps) if caps else None
-    n = a.n
-    base = (max(chain.from_iterable(a.terms), default=0)
-            + max(chain.from_iterable(b.terms), default=0) + 1)
-    powers = [base ** i for i in reversed(range(n))]
-    out = _packed_product(_packed(a.terms, powers),
-                          sorted(_packed(b.terms, powers), key=itemgetter(0)),
-                          cap if cap is not None else (base - 1) * n)
-    return SparseIntPolynomial._trusted(
-        n, {tuple([k // p % base for p in powers]): c for k, c in out.items() if c},
-        cap)
+    out = {}
+    for (ea, ca), (eb, cb) in product(a.terms.items(), b.terms.items()):
+        e = tuple(map(add, ea, eb))
+        out[e] = out.get(e, 0) + ca * cb
+    return SparseIntPolynomial(a.n, out, cap)
 
 
 def _cone(terms: dict) -> dict:
@@ -281,8 +254,8 @@ def grothendieck_poly(outer, inner, n: int, cap=None) -> SparseIntPolynomial:
         cap = n * cells
     if cap < cells:
         raise ValueError(f"cap {cap} is below the cell count {cells}")
-    return SparseIntPolynomial._trusted(
-        int(n), _orbit_sum(_g_cone(shape.outer, shape.inner, int(n), int(cap))), int(cap))
+    return SparseIntPolynomial(
+        n, _orbit_sum(_g_cone(shape.outer, shape.inner, int(n), int(cap))), int(cap))
 
 
 def schur_poly(outer, inner, n: int) -> SparseIntPolynomial:
@@ -294,8 +267,7 @@ def schur_poly(outer, inner, n: int) -> SparseIntPolynomial:
     polynomials keeps every degree.
     """
     cells = skew(outer, inner).num_cells()
-    return SparseIntPolynomial._trusted(
-        int(n), grothendieck_poly(outer, inner, n, cells).terms)
+    return SparseIntPolynomial(n, grothendieck_poly(outer, inner, n, cells).terms)
 
 
 @dataclass(frozen=True, eq=True)
@@ -353,10 +325,9 @@ def _peel_cone(residual: dict, degrees, n: int, basis: str, element, key,
 
 def _peel(p: SparseIntPolynomial, degrees, basis: str, element) -> BasisExpansion:
     """`_peel_cone` on exponent tuples, once `p` is checked symmetric."""
-    residual = _cone(p.terms)
-    if p.terms != _orbit_sum(residual):
+    if not is_symmetric(p):
         raise NotSymmetric(f"{p!r} is not symmetric up to degree {degrees[-1]}")
-    return _peel_cone(residual, degrees, p.n, basis, element, lambda nu: nu.pad(p.n), tuple)
+    return _peel_cone(_cone(p.terms), degrees, p.n, basis, element, lambda nu: nu.pad(p.n), tuple)
 
 
 def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
@@ -371,9 +342,7 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
         cap = p.cap if p.cap is not None else p.max_degree()
     elif p.cap is not None and cap > p.cap:
         raise ValueError(f"cap {cap} is above the polynomial's cap {p.cap}")
-    # a polynomial has no term above its own cap, so only a lower cap truncates
-    kept = p if cap == p.cap else p.truncate(cap)
-    return _peel(kept, range(cap + 1), "G", lambda nu: _g_cone(nu, (), p.n, cap))
+    return _peel(p.truncate(cap), range(cap + 1), "G", lambda nu: _g_cone(nu, (), p.n, cap))
 
 
 def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
@@ -386,13 +355,15 @@ def expand_in_schur_basis(p: SparseIntPolynomial) -> BasisExpansion:
 def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
     """G_lam * G_mu, terms to degree `cap`, peeled onto the G basis.
 
-    The product commutes, so results are cached by the unordered pair
+    Read in min(n, cap) variables, which is exact: no nu of degree <= cap
+    has more than cap parts, and G_nu in fewer variables is G_nu with the
+    rest set to 0.  The product commutes, so results are cached by the unordered pair
     {lam, mu} with n and cap: G_mu * G_lam is the same object.  The
     expansion is shared between callers, so callers must not mutate its
     `coeffs`.
     """
     first, second = sorted((Partition(lam), Partition(mu)))
-    return _expand_product(first, second, int(n), int(cap))
+    return _expand_product(first, second, min(int(n), int(cap)), int(cap))
 
 
 # a session asks for a few (n, cap) pairs, and each table holds every
@@ -408,7 +379,8 @@ def _dominant_table(n: int, cap: int) -> tuple:
     powers = [(cap + 1) ** i for i in reversed(range(n))]
     keys = {sum(map(mul, e, powers)): (e, tuple(sum(map(mul, o, powers)) for o in _orbit(e)))
             for e in (nu + (0,) * (n - len(nu)) for nu in chains)}
-    cones = {nu: {k: c for _, k, c in sorted(_packed(g, powers))} for nu, g in chains.items()}
+    cones = {nu: {k: c for _, k, c in sorted((sum(e), sum(map(mul, e, powers)), c)
+                                            for e, c in g.items())} for nu, g in chains.items()}
     return cones, keys, powers
 
 

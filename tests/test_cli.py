@@ -250,6 +250,19 @@ def test_expand_cap_below_factor_size_exit_code(capsys, tail, code):
         assert out.strip() == "[]" and err == ""
 
 
+def test_large_n_is_answered_not_a_traceback(capsys):
+    # the oracle reads the product in min(n, cap) variables and the s basis
+    # in min(n, |lam| + |mu|), so --n past those bounds changes nothing
+    code, out, err = run(capsys, "coeff", "--lambda", "1", "--mu", "1", "--nu", "2",
+                         "--n", "1025", "--rule", "all")
+    assert (code, out, err) == (0, "buch=1 contra=1 oracle=1 AGREE\n", "")
+    for basis in ("g", "s"):
+        argv = ("expand", "--lambda", "1", "--mu", "1", "--basis", basis)
+        small = run(capsys, *argv, "--n", "5")
+        assert small[0] == 0 and small[2] == "" and json.loads(small[1])
+        assert run(capsys, *argv, "--n", "1025") == small
+
+
 def test_expand_schur_basis_ignores_cap(capsys):
     # the s basis is homogeneous: --cap, even one below both factors,
     # leaves its expansion as it is

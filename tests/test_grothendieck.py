@@ -188,7 +188,7 @@ def test_expand_product_is_the_same_in_both_orders():
 
 
 def test_multiply_matches_reference_on_verify_products(monkeypatch):
-    # the oracle runs multiply's product loop on packed keys; each of its
+    # the oracle runs its own product loop on packed keys; each of its
     # products, read back as exponent tuples, is the reference product
     products = []
     real = grothendieck._packed_product
@@ -271,6 +271,18 @@ def test_expand_errors():
     with pytest.raises(ResidualNonzero) as info:
         expand_in_schur_basis(mixed)
     assert str(info.value) == "degree 1 did not clear; lowest monomial (1, 0)"
+
+
+def test_reference_product_shares_no_loop_with_the_oracle(monkeypatch):
+    # multiply multiplies exponent tuples itself, so the public product and
+    # peel stay a reference with the oracle's packed product loop gone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference ran the oracle's product loop")
+
+    monkeypatch.setattr(grothendieck, "_packed_product", refuse)
+    g1 = grothendieck_poly((1,), (), 2, 4)
+    assert expand_in_g_basis(multiply(g1, g1, 4), 4).coeffs == {
+        Partition((2,)): 1, Partition((1, 1)): 1, Partition((2, 1)): -1}
 
 
 def test_expand_g_basis_rejects_cap_above_polynomial_cap():
@@ -360,7 +372,7 @@ def test_expand_product_matches_full_peel():
 def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
     # the factors come from the table the peel reads, and the product stays
     # in packed keys, so the oracle works with the public builders' cache,
-    # multiply and the polynomial constructor patched to raise; its
+    # multiply and every polynomial construction patched to raise; its
     # coefficients are still those of the public reference peel
     cases = [(lam.parts, mu.parts, n, lam.size() + mu.size() + 2)
              for lam in partitions_up_to(3) for mu in partitions_up_to(3)
@@ -374,7 +386,7 @@ def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
 
     monkeypatch.setattr(grothendieck, "_g_cone", refuse)
     monkeypatch.setattr(grothendieck, "multiply", refuse)
-    monkeypatch.setattr(SparseIntPolynomial, "_trusted", refuse)
+    monkeypatch.setattr(SparseIntPolynomial, "__init__", refuse)
     for cache in (grothendieck._expand_product, grothendieck._dominant_table,
                   grothendieck._orbit, grothendieck._partitions):
         cache.cache_clear()  # no cached product or table hides a call
@@ -428,6 +440,23 @@ def test_expand_product_is_stable_when_n_grows():
                     (lam, mu, n)
                 checked += bool(got)
     assert checked == 372
+
+
+def test_expand_product_reads_at_most_cap_variables():
+    # no nu of degree <= cap has more than cap parts, so n past the cap
+    # answers as n = cap does; the unbounded oracle in cap + 1 variables agrees
+    shapes = list(partitions_up_to(3))
+    checked = 0
+    for i, lam in enumerate(shapes):
+        for mu in shapes[i:]:
+            for cap in range(lam.size() + mu.size(), lam.size() + mu.size() + 3):
+                expected = grothendieck.expand_product(lam, mu, cap, cap).coeffs
+                for n in (cap + 1, cap + 2):
+                    assert grothendieck.expand_product(lam, mu, n, cap).coeffs == expected
+                wide = grothendieck._expand_product(*sorted((lam, mu)), cap + 1, cap)
+                assert wide.coeffs == expected, (lam, mu, cap)
+                checked += bool(expected)
+    assert checked == 84
 
 
 def test_expand_product_argument_errors():
