@@ -16,9 +16,10 @@ keeping the unmarked cell masks in the pattern's own `_strips` slot;
 `upsilon_inverse` and `omega_inverse` slice the masks into pattern rows
 through the same frame, and `_contract` undoes the passes from a cached
 reading of each row, accepting exactly the semistandard fillings with
-entries at most n.  `check_marks` is the one test of a
-marking, shared by the `MarkedGTPattern` constructor, `_contract` and the
-gamma path in `lr`.
+entries at most n.  It recovers and validates each pattern once, since
+every marking of a pattern and both its images read the same counts.
+`check_marks` is the one test of a marking, shared by the
+`MarkedGTPattern` constructor, `_contract` and the gamma path in `lr`.
 """
 
 from __future__ import annotations
@@ -155,15 +156,18 @@ def enumerate_gt(lam, n: int):
     if n == 0:
         yield GTPattern(())
         return
-
-    def grow(stack):
-        if len(stack[0]) == 1:
-            yield GTPattern(stack)
-            return
-        for above in _interlacings(stack[0]):
-            yield from grow([above] + stack)
-
-    yield from grow([lam.pad(n)])
+    # an explicit stack of (rows below, candidates for the next row up):
+    # one generator nested per row would bound n by the recursion limit
+    stack = [((), iter([lam.pad(n)]))]
+    while stack:
+        below, candidates = stack[-1]
+        row = next(candidates, None)
+        if row is None:
+            stack.pop()
+        elif len(row) == 1:
+            yield GTPattern((row,) + below)
+        else:
+            stack.append(((row,) + below, _interlacings(row)))
 
 
 def marked_patterns(pattern: GTPattern):
@@ -262,7 +266,9 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     key, its smallest label, is the pass that created it, and every larger
     label is one mark.  x(i, j) counts the cells of row j with key at most
     i.  The same few rows recur across fillings, so the cached `_read_row`
-    reads each row, and its results are combined here.
+    reads each row, and its results are combined here.  The counts fix
+    the pattern, so the cached `_recover` builds and validates each
+    pattern once; keys, marks and the loose test stay per filling.
 
     Exactly the semistandard fillings invert.  Failures raise DomainError,
     checked in this order (an entry above n is `_read`'s to refuse): the
@@ -290,10 +296,8 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
         raise DomainError(f"value at least {n + 1 - i} appears above row {i}"
                           if rotated else f"value at most {i} appears below row {i}")
 
-    counts += [(0,) * n] * (n - len(counts))  # rows the filling lacks
-    pattern = GTPattern._trusted(tuple(
-        row[:i] for i, row in enumerate(zip(*counts), start=1)))
-    if not validate(pattern):
+    pattern = _recover(tuple(counts), n)
+    if pattern is None:
         raise DomainError("filling is not semistandard enough to invert")
     try:
         check_marks(pattern.rows, marks)
@@ -302,6 +306,15 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     if loose:
         raise DomainError("filling is not semistandard enough to invert")
     return MarkedGTPattern._trusted(pattern, frozenset(marks))
+
+
+@lru_cache(maxsize=256)
+def _recover(counts: tuple, n: int):
+    """The pattern of size n with x(i, j) = counts[j-1][i-1], rows past
+    the last of `counts` counting 0, or None unless it interlaces."""
+    counts += ((0,) * n,) * (n - len(counts))
+    pattern = GTPattern._trusted(tuple(row[:i] for i, row in enumerate(zip(*counts), start=1)))
+    return pattern if validate(pattern) else None
 
 
 @lru_cache(maxsize=256)

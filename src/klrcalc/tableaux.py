@@ -209,7 +209,9 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
     One per-value limit bounds how many copies of v a filling holds: a
     cell may take v only while fewer than limit[v] are placed.  It is
     the weight budget (none beyond w = min(n, L) for a weight of length
-    L), or one copy per cell without a weight (w = n).  With
+    L), or one copy per cell without a weight (w = n).  A cell holds v
+    at most once, so that one never binds, and a search with neither a
+    weight nor `dominant_for` keeps no counts.  With
     `dominant_for`, each row start lowers it to min(budget, room[v]),
     room[v] = lam_{v-1} + #(v-1) in the rows above - lam_v for v >= 2.
     A semistandard row reads weakly decreasing in the row word, so when
@@ -304,13 +306,15 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             lo = max(lo, masks[ui].bit_length() + 1)
         # cut 2 for the child: a value the later cells cannot take enough
         # copies of is forced into this cell
-        later = cap[pos + 1]
-        allowed = forced = 0
-        for v in range(1, w + 1):
-            if counts[v] < limit[v]:
-                allowed |= 1 << (v - 1)
-            if target is not None and target[v - 1] - counts[v] > later[v]:
-                forced |= 1 << (v - 1)
+        allowed, forced = -1, 0
+        if limit is not None:
+            later = cap[pos + 1]
+            allowed = 0
+            for v in range(1, w + 1):
+                if counts[v] < limit[v]:
+                    allowed |= 1 << (v - 1)
+                if target is not None and target[v - 1] - counts[v] > later[v]:
+                    forced |= 1 << (v - 1)
         allowed &= span[pos] & ~((1 << (lo - 1)) - 1)
         if not allowed or forced & ~allowed:
             return
@@ -335,18 +339,19 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
                 if leftover < remaining or leftover > remaining * per_cell:
                     continue
             masks[pos] = m
-            mm = m
+            mm = 0 if limit is None else m
             while mm:
                 counts[(mm & -mm).bit_length()] += 1
                 mm &= mm - 1
             yield from fill(pos + 1, new_total, limit)
-            mm = m
+            mm = 0 if limit is None else m
             while mm:
                 counts[(mm & -mm).bit_length()] -= 1
                 mm &= mm - 1
             masks[pos] = 0
 
-    yield from fill(0, 0, budget)
+    # no limit, and no counts, where the limit cannot bind
+    yield from fill(0, 0, None if target is None and lam is None else budget)
 
 
 # searches meet the same few shapes again and again

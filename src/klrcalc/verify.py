@@ -202,11 +202,14 @@ def run_verify(max_size: int, n: int, seed=None, jobs=None) -> list:
     `seed` only shuffles the instance order (the instance set is always
     exhaustive), `jobs` fans instances out over processes.  Bounds that
     leave a sweep with no instance raise InputError, so a run that
-    checks nothing never reports a pass.
+    checks nothing never reports a pass; so does an n above the largest
+    entry, before any work.
     """
     if max_size < 0 or n < 1:
         raise InputError(f"verify needs --max-size >= 0 and --n >= 1, "
                          f"got --max-size {max_size} --n {n}")
+    if n > tableaux.MAX_ENTRY:
+        raise InputError(f"--n must be <= {tableaux.MAX_ENTRY}, got {n}")
     bijection_instances = [(tuple(lam), m)
                            for m in range(1, n + 1)
                            for lam in partitions_up_to(max_size, max_length=m)]

@@ -465,6 +465,14 @@ def test_verify_rejects_bounds_that_check_nothing(capsys, max_size, n):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_verify_refuses_n_above_the_largest_entry(capsys):
+    # refused before any work: no filling holds an entry above MAX_ENTRY
+    top = klrcalc.tableaux.MAX_ENTRY
+    code, out, err = run(capsys, "verify", "--max-size", "0", "--n", str(top + 1),
+                         "--jobs", "1")
+    assert (code, out, err) == (1, "", f"error: --n must be <= {top}, got {top + 1}\n")
+
+
 def test_verify_sweeps_are_never_empty():
     for max_size in range(3):
         for n in range(1, 4):

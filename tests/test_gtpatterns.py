@@ -49,6 +49,16 @@ def test_enumerate_gt_small():
     assert wx.GT_EXAMPLE in list(enumerate_gt((4, 3, 2), 4))
 
 
+def test_enumerate_gt_walks_any_number_of_rows():
+    # depth first from the bottom row, each row ascending lex, with no
+    # generator nested per row: 1000 rows of zeros are one pattern
+    for lam, n in (((2, 1), 3), ((3, 1), 4), ((2,), 1)):
+        pats = [p.rows for p in enumerate_gt(lam, n)]
+        assert pats == sorted(pats, key=lambda rows: rows[::-1])
+    pats = list(enumerate_gt((), 1000))
+    assert len(pats) == 1 and pats[0].n == 1000
+
+
 def test_enumerate_gt_counts_match_singleton_fillings():
     # patterns with bottom row lam biject with one-entry-per-cell fillings
     for lam in partitions_up_to(5):
@@ -460,11 +470,12 @@ def test_unmarkable_marks_message(inverse, shape, rows, positions):
         f"recovered marks are not markable: positions not markable: {positions}"
 
 
-@pytest.mark.parametrize("lam, n, calls", [((2, 1), 3, 62), ((3, 2, 1), 4, 1522)])
+@pytest.mark.parametrize("lam, n, calls", [((2, 1), 3, 16), ((3, 2, 1), 4, 128)])
 def test_check_bijections_validates_each_pattern_once_per_map(monkeypatch, lam, n, calls):
     # one per pattern for both forward maps, the second orientation reusing
-    # the first build's check, plus two per marked pattern for the
-    # inverses, one per recovered pattern
+    # the first build's check, plus one per pattern for both inverses: every
+    # marking of a pattern and both its images recover it from one cache entry
+    gtpatterns._recover.cache_clear()
     real = gtpatterns.validate
     seen = []
 
@@ -476,7 +487,52 @@ def test_check_bijections_validates_each_pattern_once_per_map(monkeypatch, lam, 
     assert verify.check_bijections(lam, n) == ""
     patterns = list(enumerate_gt(lam, n))
     marked = sum(1 for x in patterns for _ in marked_patterns(x))
-    assert len(seen) == len(patterns) + 2 * marked == calls
+    assert len(seen) == 2 * len(patterns) == calls
+    assert marked > len(patterns)
+
+
+def test_recovered_patterns_are_exact_cold_and_warm():
+    # both images of every marking invert to it from a cleared cache, the
+    # omega image reading the pattern the upsilon image recovered, and
+    # again from the warm cache
+    marked = [m for lam in partitions_up_to(5, max_length=4)
+              for n in range(max(1, len(lam)), 5)
+              for x in enumerate_gt(lam, n) for m in marked_patterns(x)]
+    for m in marked:
+        gtpatterns._recover.cache_clear()
+        pairs = ((upsilon(m), upsilon_inverse), (omega(m), omega_inverse))
+        for _ in range(2):
+            for image, inverse in pairs:
+                assert inverse(image, m.n) == m
+        info = gtpatterns._recover.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+    assert len(marked) == 4122
+
+
+def test_recovered_invalid_pattern_is_refused_alike_on_a_hit():
+    # a 2 under a 2 reads counts that do not interlace; a mark changes no
+    # count, so the marked filling is refused from the cache, word for word
+    gtpatterns._recover.cache_clear()
+    plain = SetValuedFilling.from_rows(skew((2, 2)), [[{1}, {2}], [{2}, {2}]])
+    marked = SetValuedFilling.from_rows(skew((2, 2)), [[{1, 2}, {2}], [{2}, {2}]])
+    for filling in (plain, marked, plain):
+        with pytest.raises(DomainError) as info:
+            upsilon_inverse(filling, 2)
+        assert str(info.value) == "filling is not semistandard enough to invert"
+    info = gtpatterns._recover.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert gtpatterns._recover(((1, 2), (0, 2)), 2) is None
+
+
+def test_recovered_pattern_is_keyed_on_n():
+    # an empty filling reads no counts at every n, yet each n has its own
+    # pattern of n zero rows
+    gtpatterns._recover.cache_clear()
+    for inverse, shape in ((upsilon_inverse, skew(())), (omega_inverse, rotate(()))):
+        for n in (2, 3, 2, 1):
+            got = inverse(SetValuedFilling(shape, {}), n)
+            assert got.n == n and not got.marks
+            assert got.pattern.rows == tuple((0,) * i for i in range(1, n + 1))
 
 
 def test_expansion_memo_is_exact_and_private():

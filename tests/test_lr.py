@@ -196,10 +196,12 @@ def _validated_patterns(run):
 def test_gamma_path_validates_each_pattern_once():
     # gamma: the recovered and the relabelled pattern; gamma_inverse: the
     # recovered and the decremented one, then the same two for its round
-    # trip through gamma.  Expanding a pattern does not check it again
+    # trip through gamma.  Expanding a pattern does not check it again.
+    # Each run starts with no recovered pattern cached
     q = final_query()
     for run, count in ((lambda: gamma(wx.t1(), q), 2),
                        (lambda: gamma_inverse(wx.s1(), q), 4)):
+        gtpatterns._recover.cache_clear()
         seen = _validated_patterns(run)
         assert len(seen) == count
         assert len({id(p) for p in seen}) == count

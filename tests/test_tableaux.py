@@ -281,6 +281,23 @@ def test_search_node_counts(shape, n, kwargs, nodes, count):
     assert (runs, len(stream)) == (nodes, count)
 
 
+def test_unweighted_stream_is_the_brute_force_listing():
+    # with no weight and no dominance the search keeps no counts; its stream
+    # is still every assignment of non-empty subsets of [n] that is
+    # semistandard, in increasing mask tuples
+    shapes = {skew(outer, inner) for outer in partitions_up_to(6)
+              for inner in partitions_up_to(outer.size())
+              if contains(inner, outer) and outer.size() - inner.size() <= 4}
+    for shape in shapes:
+        cells = len(shape.cells())
+        for n in range(4):
+            listing = [f for masks in itertools.product(range(1, 1 << n), repeat=cells)
+                       if is_semistandard(f := SetValuedFilling._trusted(shape, masks))]
+            stream = list(enumerate_svt(shape, n))
+            assert [f.masks for f in stream] == [f.masks for f in listing]
+    assert len(shapes) > 100
+
+
 def test_search_plan_is_built_once_per_shape_and_width():
     # an equal shape built anew and a weight as long as n share the plan
     tableaux._plan.cache_clear()
