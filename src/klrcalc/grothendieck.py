@@ -62,6 +62,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import add, ge, mul
+from types import MappingProxyType
 
 from .errors import DimensionMismatch, NotSymmetric, ResidualNonzero
 from .shapes import Partition, contains, partitions, skew
@@ -109,9 +110,6 @@ class SparseIntPolynomial:
         if isinstance(other, SparseIntPolynomial):
             return self.n == other.n and self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"<poly n={self.n} terms={len(self.terms)} cap={self.cap}>"
@@ -275,7 +273,7 @@ class BasisExpansion:
     """Signed integer coordinates of a polynomial on a partition basis."""
 
     basis: str  # "G" or "s"
-    coeffs: dict
+    coeffs: MappingProxyType  # read-only: the oracle's expansions are shared
 
     def coefficient(self, nu) -> int:
         return self.coeffs.get(Partition(nu), 0)
@@ -320,7 +318,7 @@ def _peel_cone(residual: dict, degrees, n: int, basis: str, element, key,
     if residual:
         low = min(map(exponent, residual), key=lambda e: (sum(e), e))
         raise ResidualNonzero(f"degree {sum(low)} did not clear; lowest monomial {low}")
-    return BasisExpansion(basis, coeffs)
+    return BasisExpansion(basis, MappingProxyType(coeffs))
 
 
 def _peel(p: SparseIntPolynomial, degrees, basis: str, element) -> BasisExpansion:
@@ -359,8 +357,7 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
     has more than cap parts, and G_nu in fewer variables is G_nu with the
     rest set to 0.  The product commutes, so results are cached by the unordered pair
     {lam, mu} with n and cap: G_mu * G_lam is the same object.  The
-    expansion is shared between callers, so callers must not mutate its
-    `coeffs`.
+    expansion is shared between callers, so its `coeffs` is read-only.
     """
     first, second = sorted((Partition(lam), Partition(mu)))
     return _expand_product(first, second, min(int(n), int(cap)), int(cap))

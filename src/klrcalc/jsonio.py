@@ -50,7 +50,8 @@ def filling_from_obj(obj: dict) -> SetValuedFilling:
     rows = _rows(obj, "a filling")
     for r, row in enumerate(rows, start=1):
         for cell in row:
-            _ints(cell, f"a cell of row {r}")
+            if len(set(_ints(cell, f"a cell of row {r}"))) < len(cell):
+                raise InputError(f"a cell of row {r} lists an entry twice: {json.dumps(cell)}")
     if "rotated_of" not in obj and "outer" not in obj:
         raise InputError('a filling needs "outer" or "rotated_of"')
     outer = _ints(obj["outer"], '"outer"') if "outer" in obj else None
@@ -93,6 +94,8 @@ def marked_from_obj(obj: dict) -> MarkedGTPattern:
     for m in marks:
         if len(_ints(m, "a mark")) != 2:
             raise InputError(f"a mark must be an [i, j] pair, got {json.dumps(m)}")
+    if len(set(map(tuple, marks))) < len(marks):
+        raise InputError(f"a mark is listed twice: {json.dumps(marks)}")
     try:
         return MarkedGTPattern(GTPattern(rows), [tuple(m) for m in marks])
     except ValueError as exc:

@@ -430,12 +430,14 @@ _BAD_FILLINGS = [
     {"outer": [2], "inner": [], "rows": [[[1]]]},
     [[[1]]],
     {"rows": [[[1]]]},
+    {"outer": [1], "rows": [[[1, 1]]]},
 ]
 _BAD_PATTERNS = [
     {"rows": [[2], [2, 1, 1]], "marks": []},
     {"rows": [[2], [2, "a"]], "marks": []},
     [[2], [2, 1]],
     {"rows": [[2], [2, 1]], "marks": [[2]]},
+    {"rows": [[2], [2, 1]], "marks": [[2, 1], [2, 1]]},
 ]
 
 

@@ -80,6 +80,9 @@ def test_polynomial_basics():
     assert capped.terms == {(1, 0): 2}
     with pytest.raises(ValueError):
         SparseIntPolynomial(2, {(1,): 1})
+    # equal polynomials hold mutable term dicts, so none is hashable
+    with pytest.raises(TypeError):
+        hash(p)
 
 
 def test_grothendieck_poly_single_cell():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -268,6 +269,15 @@ def test_check_bijections_reports_a_short_universe(monkeypatch):
                         lambda shape, n: list(real(shape, n))[:-1])
     assert verify.check_bijections((2,), 2) == (
         "upsilon image has 5 fillings, universe has 4 for (2,), n=2")
+
+
+def test_check_bijections_reports_a_broken_count_identity(monkeypatch):
+    # the images are right, since marked_patterns reads the real module;
+    # only the sum of 2^|markable| sees one extra position per pattern
+    fake = types.SimpleNamespace(**vars(gtpatterns))
+    fake.markable_positions = lambda x: gtpatterns.markable_positions(x) | {(0, 0)}
+    monkeypatch.setattr(verify, "gtpatterns", fake)
+    assert verify.check_bijections((2, 1), 3) == "count identity 54 != 27 for (2, 1), n=3"
 
 
 def test_check_bijections_refuses_more_parts_than_rows():

@@ -386,6 +386,17 @@ def test_oracle_matches_rules_spot():
         assert coeff_oracle(q) == coeff_buch(q) == coeff_contra(q)
 
 
+def test_shared_oracle_expansion_is_read_only():
+    # every later oracle call on the pair reads the same cached expansion
+    query = CoefficientQuery((1,), (1,), (2,), 2)
+    coeffs = grothendieck.expand_product((1,), (1,), 2, 2).coeffs
+    with pytest.raises(AttributeError):
+        coeffs.clear()
+    with pytest.raises(TypeError):
+        coeffs[Partition((2,))] = 0
+    assert coeff_oracle(query) == coeff_buch(query) == 1
+
+
 def test_pattern_entries_match_count_formula():
     # x(i, j) counts values up to i in row j, corrected by the marks in
     # column j at or below the two cutoffs
