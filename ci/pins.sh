@@ -162,6 +162,13 @@ large_n() {
   check expand --lambda 1 --mu 1 --basis s
 }
 
+long_shapes() {
+  # more cells than the recursion limit: answers, not tracebacks
+  out=$(python -m klrcalc coeff --lambda 1 --mu 1100 --nu 1101 --rule all)
+  test "$out" = "buch=1 contra=1 oracle=1 AGREE"
+  test "$(python -m klrcalc enumerate --shape 1200 --n 1 | tail -1)" = '{"count": 1}'
+}
+
 oracle_expansion() {
   out=$(python -m klrcalc expand --lambda 2,1 --mu 2 --n 3 --cap 6 \
     | python -c 'import json, sys; print(json.dumps(json.load(sys.stdin), separators=(",", ":")))')
@@ -289,7 +296,7 @@ selfcheck() {
 failed=0
 for pin in cli_smoke pooled_verify pooled_verify_size_4 bijection_round_trips \
            inverse_outputs every_filling_inverts schur_and_closed_pipe large_n \
-           oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
+           long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
            public_expansions oracle_products small_n_skew_polys \
            pruned_witness_search unweighted_witness_streams gamma_certificates \
            selfcheck; do

@@ -35,6 +35,7 @@ from .tableaux import MAX_ENTRY, SetValuedFilling, weight
 class GTPattern:
     """Triangular integer array; row i (1-based, from the top) has i entries.
 
+    `rows` is set once, on construction: `_recover` shares its patterns.
     `_strips`, left unset until the first expansion, keeps per orientation
     what `_strips_of` built; equality and hashing read `rows` only.
     """
@@ -46,14 +47,26 @@ class GTPattern:
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def _trusted(cls, rows: tuple):
         """Wrap `rows` unchecked: a tuple whose row i is a tuple of i ints."""
         self = cls.__new__(cls)
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
         return self
+
+    def __setattr__(self, name, value):
+        if name == "rows":
+            raise AttributeError("a pattern's rows cannot be reassigned")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a pattern's {name} cannot be deleted")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return GTPattern, (self.rows,)
 
     @property
     def n(self) -> int:

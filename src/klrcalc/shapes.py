@@ -14,6 +14,7 @@ from operator import le, lt
 from .errors import ContainmentError
 
 _item = tuple.__getitem__  # global: filling a default argument slows each call
+_set = object.__setattr__  # how an immutable object sets its slots once
 
 
 class Partition(tuple):
@@ -70,15 +71,30 @@ def contains(mu, lam) -> bool:
 
 
 class SkewShape:
-    """Cells of an outer Young diagram with an inner diagram removed."""
+    """Cells of an outer Young diagram with an inner diagram removed.
+
+    Immutable: every attribute is set once, on construction, so a shape
+    that `rotate` or a filling shares cannot change under its holders.
+    """
 
     __slots__ = ("outer", "inner")
 
     def __init__(self, outer, inner=()):
-        self.outer = Partition(outer)
-        self.inner = Partition(inner)
-        if not contains(self.inner, self.outer):
-            raise ContainmentError(f"{self.inner} is not contained in {self.outer}")
+        outer = Partition(outer)
+        inner = Partition(inner)
+        if not contains(inner, outer):
+            raise ContainmentError(f"{inner} is not contained in {outer}")
+        _set(self, "outer", outer)
+        _set(self, "inner", inner)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return SkewShape, (self.outer, self.inner)
 
     @property
     def num_rows(self) -> int:
@@ -121,7 +137,10 @@ class RotatedShape(SkewShape):
         lam = Partition(lam)
         width = lam[0]
         super().__init__((width,) * len(lam), tuple(width - p for p in lam[::-1]))
-        self.lam = lam
+        _set(self, "lam", lam)
+
+    def __reduce__(self):
+        return RotatedShape, (self.lam,)
 
     def __repr__(self):
         return f"RotatedShape({self.lam.parts})"

@@ -288,15 +288,13 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
         return False
 
     def fill(pos, total, limit):
-        if pos == ncells:
-            if target is None or total == target_sum:
-                yield SetValuedFilling._trusted(shape, tuple(masks))
-            return
+        # one node, the filling of the cells before pos: (limit, total,
+        # the masks cell pos can take next, increasing)
         if lam is not None and row_start[pos]:
             limit = budget[:2] + [min(budget[v], lam[v - 2] + counts[v - 1] - lam[v - 1])
                                   for v in range(2, n + 1)]
             if target is not None and row_cut(pos, limit):
-                return
+                return limit, total, iter(())
         lo = 1
         li = left[pos]
         if li is not None:
@@ -317,8 +315,7 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
                     forced |= 1 << (v - 1)
         allowed &= span[pos] & ~((1 << (lo - 1)) - 1)
         if not allowed or forced & ~allowed:
-            return
-        remaining = ncells - pos - 1
+            return limit, total, iter(())
         if singleton:
             # the single bits of allowed; only forced itself when it is set
             candidates = [1 << v for v in range(n)
@@ -331,27 +328,51 @@ def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
             while m:
                 candidates.append(m | forced)
                 m = (m - free) & free
-        for m in candidates:
-            size = bin(m).count("1")
-            new_total = total + size
-            if target is not None:
-                leftover = target_sum - new_total
-                if leftover < remaining or leftover > remaining * per_cell:
-                    continue
-            masks[pos] = m
-            mm = 0 if limit is None else m
+        if target is not None:
+            # the leftover total gives each later cell 1 to per_cell entries;
+            # a candidate holds 1 to |allowed| entries
+            remaining = ncells - pos - 1
+            most = target_sum - total - remaining
+            least = most - remaining * (per_cell - 1)
+            if least > 1 or most < allowed.bit_count():
+                candidates = [m for m in candidates if least <= m.bit_count() <= most]
+        return limit, total, iter(candidates)
+
+    if not ncells:
+        if not target_sum:
+            yield SetValuedFilling._trusted(shape, ())
+        return
+    # an explicit stack of nodes, one per filled cell: a generator nested
+    # per cell would bound the cell count by the recursion limit.  Cell pos
+    # keeps its mask, and its counts, until its next mask replaces it.
+    # No limit, and no counts, where the limit cannot bind.
+    counted = target is not None or lam is not None
+    stack = [fill(0, 0, budget if counted else None)]
+    last = ncells - 1
+    pos = 0
+    while pos >= 0:
+        limit, total, children = stack[pos]
+        m = masks[pos]
+        if counted:
+            while m:
+                counts[(m & -m).bit_length()] -= 1
+                m &= m - 1
+        m = masks[pos] = next(children, 0)
+        if not m:
+            stack.pop()
+            pos -= 1
+            continue
+        total += m.bit_count()
+        if counted:
+            mm = m
             while mm:
                 counts[(mm & -mm).bit_length()] += 1
                 mm &= mm - 1
-            yield from fill(pos + 1, new_total, limit)
-            mm = 0 if limit is None else m
-            while mm:
-                counts[(mm & -mm).bit_length()] -= 1
-                mm &= mm - 1
-            masks[pos] = 0
-
-    # no limit, and no counts, where the limit cannot bind
-    yield from fill(0, 0, None if target is None and lam is None else budget)
+        if pos < last:
+            stack.append(fill(pos + 1, total, limit))
+            pos += 1
+        else:  # with a target, the last cell takes only masks that meet its sum
+            yield SetValuedFilling._trusted(shape, tuple(masks))
 
 
 # searches meet the same few shapes again and again

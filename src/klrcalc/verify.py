@@ -10,7 +10,6 @@ minimal counterexample.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -176,6 +175,8 @@ def _run_sweep(name, instances, check_name, jobs) -> SweepResult:
     """
     check = globals()[check_name]
     if jobs is not None and jobs > 1 and len(instances) > 1:
+        # imported here: loading the pool machinery slows every process's start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             details = list(pool.map(partial(_run_check, check_name),
                                     *zip(*instances), chunksize=4))

@@ -313,6 +313,33 @@ def test_entry_bound_refusals_allocate_nothing(argv, stdin, code, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
 
 
+def test_long_shapes_are_answered_not_a_traceback(capsys):
+    # more cells than the recursion limit, on both sides of the rule
+    for lam, mu in (("1", "1100"), ("1100", "1")):
+        code, out, err = run(capsys, "coeff", "--lambda", lam, "--mu", mu,
+                             "--nu", "1101", "--rule", "all")
+        assert (code, out, err) == (0, "buch=1 contra=1 oracle=1 AGREE\n", "")
+    assert verify.check_bijections((1100,), 1) == ""
+
+
+def test_commands_load_no_pool_machinery():
+    # only a verify run with more than one job imports the process pool;
+    # a fresh interpreter, since this one may have loaded it already
+    script = """
+import sys
+before = set(sys.modules)
+import klrcalc.cli
+from klrcalc import verify
+assert all(r.ok for r in verify.run_verify(1, 1, jobs=1))
+added = set(sys.modules) - before
+print(sorted(m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(klrcalc.__file__))})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_verify_small_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-size", "2", "--n", "2",
                        "--jobs", "1")

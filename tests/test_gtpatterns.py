@@ -1,6 +1,8 @@
 import collections
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -37,6 +39,20 @@ def test_pattern_shape_errors():
         GTPattern([(1, 2)])
     with pytest.raises(ValueError):
         MarkedGTPattern(wx.GT_EXAMPLE, [(2, 2)])  # zero slack position
+
+
+def test_pattern_rows_are_set_once():
+    pattern = GTPattern([(2,), (2, 1)])
+    for action in (lambda: setattr(pattern, "rows", ((9,),)),
+                   lambda: delattr(pattern, "rows")):
+        with pytest.raises(AttributeError):
+            action()
+    assert pattern.rows == ((2,), (2, 1))
+    # the expansion memo is still the pattern's own to set
+    omega(MarkedGTPattern(pattern, [(2, 1)]))
+    assert pattern._strips[True] is not None
+    for back in (pickle.loads(pickle.dumps(pattern)), copy.copy(pattern)):
+        assert type(back) is GTPattern and back == pattern
 
 
 def test_enumerate_gt_small():

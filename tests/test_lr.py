@@ -465,3 +465,25 @@ def test_check_rules_walk_order_and_reach(monkeypatch):
             (((4, 2),), "")):
         monkeypatch.setattr(grothendieck, "expand_product", bumped(*nus))
         assert verify.check_rules((1,), (1,), 2) == detail, nus
+
+
+def test_shared_shapes_and_patterns_refuse_reassignment():
+    # `rotate` shares one shape per partition and the inverses share one
+    # recovered pattern per count table: a caller that could reassign
+    # either would change every later answer in the process
+    query = CoefficientQuery((2, 1), (1,), (2, 2), 2)
+    assert coeff_contra(query) == 1
+    shape = rotate((2, 1))
+    for name in ("outer", "inner", "lam"):
+        with pytest.raises(AttributeError):
+            setattr(shape, name, (5, 5))
+    assert (shape.outer, shape.inner, shape.lam) == ((2, 2), (1,), (2, 1))
+    assert coeff_contra(query) == 1
+
+    filling = SetValuedFilling.from_rows(skew((2, 1)), [[{1}, {1, 2}], [{2}]])
+    marked = upsilon_inverse(filling, 2)
+    with pytest.raises(AttributeError):
+        marked.pattern.rows = ((9,), (9, 9))
+    assert marked.pattern.rows == ((2,), (2, 1))
+    assert upsilon_inverse(filling, 2) == marked
+    assert upsilon(upsilon_inverse(filling, 2)) == filling

@@ -94,6 +94,20 @@ def test_rotate_is_an_involution_on_cells():
         assert shape.num_cells() == lam.size()
 
 
+def test_shapes_are_immutable():
+    for shape in (skew((3, 1), (1,)), rotate((2, 1))):
+        for name in ("outer", "inner", "lam", "other"):
+            with pytest.raises(AttributeError):
+                setattr(shape, name, (5, 5))
+            with pytest.raises(AttributeError):
+                delattr(shape, name)
+        # pickle and copy rebuild a shape rather than set its attributes
+        for back in (pickle.loads(pickle.dumps(shape)), copy.copy(shape),
+                     copy.deepcopy(shape)):
+            assert type(back) is type(shape) and back == shape
+    assert pickle.loads(pickle.dumps(rotate((2, 1)))).lam == (2, 1)
+
+
 def test_partitions_generator():
     assert [p.parts for p in partitions(4)] == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

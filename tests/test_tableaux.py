@@ -227,8 +227,8 @@ def test_weight_cuts_match_plain_post_filtering():
 
 
 def _search_nodes(shape, n, **kwargs):
-    # the stream, and how often the search's node generator runs (a
-    # profile hook sees each entry and each resumption)
+    # the stream, and how many nodes the search visits: a profile hook
+    # sees each call of its node function, one per partial filling
     node, = [c for c in enumerate_svt.__code__.co_consts
              if getattr(c, "co_name", None) == "fill"]
     runs = 0
@@ -267,12 +267,12 @@ def test_capacity_cuts_refuse_at_the_root(shape, n, target, lam, nodes):
 
 
 @pytest.mark.parametrize("shape, n, kwargs, nodes, count", [
-    (skew((2, 1)), 2, dict(weight_filter=(2, 1), singleton=True), 8, 1),
+    (skew((2, 1)), 2, dict(weight_filter=(2, 1), singleton=True), 3, 1),
     (skew((2, 2)), 3,
      dict(weight_filter=(2, 1, 1), dominant_for=(1,), singleton=True), 3, 0),
     # unweighted: a column of three cells with n = 3 reads 1, 2, 3 down,
-    # which the column range sees (94 nodes without it)
-    (skew((2, 1, 1)), 3, {}, 58, 7),
+    # which the column range sees (52 nodes without it)
+    (skew((2, 1, 1)), 3, {}, 16, 7),
 ])
 def test_search_node_counts(shape, n, kwargs, nodes, count):
     # how many nodes a search visits, pinned: a cut that gets weaker
@@ -296,6 +296,17 @@ def test_unweighted_stream_is_the_brute_force_listing():
             stream = list(enumerate_svt(shape, n))
             assert [f.masks for f in stream] == [f.masks for f in listing]
     assert len(shapes) > 100
+
+
+def test_long_shapes_search_past_the_recursion_limit():
+    # the search keeps one stack entry per filled cell, not one nested
+    # call, so a shape of more cells than the recursion limit is answered
+    cells = sys.getrecursionlimit() + 200
+    assert [f.masks for f in enumerate_svt(skew((cells,)), 1)] == [(1,) * cells]
+    assert len(list(enumerate_svt(skew((cells,)), 2, weight_filter=(cells - 1, 2)))) == 1
+    # after the seed's one 1, the row word allows one 2: at the row's end
+    assert [f.masks[-2:] for f in enumerate_svt(rotate((cells,)), 2, dominant_for=(1,),
+                                                singleton=True)] == [(1, 1), (1, 2)]
 
 
 def test_search_plan_is_built_once_per_shape_and_width():
