@@ -40,6 +40,17 @@ cli_smoke() {
   python -m klrcalc verify --max-size 3 --n 3 --jobs 1
 }
 
+usage_errors() {
+  # through `python -m klrcalc`, so argv comes from sys.argv: a leftover
+  # argument and an unknown command are worded by the whole parser, and an
+  # abbreviated option still reaches its command
+  refused 1 'klrcalc: error: unrecognized arguments: --extra' \
+    python -m klrcalc coeff --lambda 1 --mu 1 --nu 2 --extra
+  refused 1 "klrcalc: error: argument command: invalid choice: 'bogus' (choose from \
+'coeff', 'enumerate', 'bijection', 'word', 'verify', 'expand')" python -m klrcalc bogus
+  test "$(python -m klrcalc coeff --lam 1 --mu 1 --nu 2)" = 1
+}
+
 pooled_verify() {
   pooled --max-size 3 --n 3
 }
@@ -294,7 +305,7 @@ selfcheck() {
 }
 
 failed=0
-for pin in cli_smoke pooled_verify pooled_verify_size_4 bijection_round_trips \
+for pin in cli_smoke usage_errors pooled_verify pooled_verify_size_4 bijection_round_trips \
            inverse_outputs every_filling_inverts schur_and_closed_pipe large_n \
            long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
            public_expansions oracle_products small_n_skew_polys \

@@ -204,7 +204,8 @@ def _cmd_expand(args) -> int:
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
+    """The whole parser and its commands' parsers by name."""
     parser = _Parser(prog="klrcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,12 +263,18 @@ def _build_parser() -> _Parser:
     exp.add_argument("--basis", choices=("g", "s"), default="g")
     exp.set_defaults(func=_cmd_expand)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's own parser reads its arguments once; no command, or an
+    # argument left over, goes through the whole parser for argparse's texts
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, argv)
+    if args is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except KLRError as exc:

@@ -45,14 +45,22 @@ basis triangular.  That is exact: the input is checked symmetric and
 every basis element is an orbit sum, so the residual is always the
 orbit sum of its cone, and a nonzero symmetric polynomial has a nonzero
 partition monomial.  Only the oracle packs.  It reads its basis cones
-and factors from `_dominant_table(n, cap)` and works in its packed keys
-end to end: each exponent vector is one int in base cap + 1, which no
-coordinate of a term of degree <= cap reaches, so adding keys adds
-vectors with no carry.  Each factor is trimmed by degree to what the
-other leaves under the cap, and the product is checked, cut to its cone
-and peeled unpacked.  `multiply` and the public peels work on exponent
-tuples, read `_g_cone` and share no loop with the oracle, so they stay
-its plain reference.
+and factors from one table per n, `_dominant_table`, built at the
+largest cap C asked so far, and works in its packed keys end to end:
+each exponent vector is one int in base C + 1, which no coordinate of a
+term of degree <= C reaches, so adding keys adds vectors with no carry.
+The degree bound only drops prefixes above the cap and later steps only
+add degree, so the table cut to degree <= c is the table at cap c: a
+product to degree c reads its factors, each trimmed by degree to what
+the other leaves under c, and its basis terms to degree c alone.  The
+product is checked, cut to its cone and peeled unpacked.  `multiply`
+and the public peels work on exponent tuples, read `_g_cone` and share
+no loop with the oracle, so they stay its plain reference.
+
+Caches: `expand_product` hands out the `BasisExpansion` of
+`_expand_product`, so its `coeffs` is read-only; no public function
+hands out the dicts of `_dominant_table` or `_g_cone`; `_orbit` and
+`_partitions` return tuples.
 """
 
 from __future__ import annotations
@@ -363,22 +371,31 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
     return _expand_product(first, second, min(int(n), int(cap)), int(cap))
 
 
-# a session asks for a few (n, cap) pairs, and each table holds every
-# basis element of its pair
-@lru_cache(maxsize=64)
+# one table per n, least recently used first, at most 64 of them; a
+# product cached by partitions stays valid when its table is rebuilt
+_tables: dict = {}
+
+
 def _dominant_table(n: int, cap: int) -> tuple:
-    """(cones, keys, powers): `_chains` from the empty partition, no outer
-    shape, each exponent vector e keyed sum(e_i * powers[i]) in base cap + 1.
+    """(top, cones, keys, powers): the table of n, rebuilt at cap if its top
+    < cap: `_chains` from the empty partition, no outer shape, to degree top,
+    each exponent vector e keyed sum(e_i * powers[i]) in base top + 1.
     cones: each nu with at most n parts to G_nu's partition-exponent terms
-    of degree <= cap, by degree; keys: each such nu's key to its exponent
-    vector and the keys of its orbit.  Shared: callers must not mutate it."""
-    chains = _chains((), None, n, cap)
-    powers = [(cap + 1) ** i for i in reversed(range(n))]
-    keys = {sum(map(mul, e, powers)): (e, tuple(sum(map(mul, o, powers)) for o in _orbit(e)))
-            for e in (nu + (0,) * (n - len(nu)) for nu in chains)}
-    cones = {nu: {k: c for _, k, c in sorted((sum(e), sum(map(mul, e, powers)), c)
-                                            for e, c in g.items())} for nu, g in chains.items()}
-    return cones, keys, powers
+    as (degree, key, coefficient) by degree; keys: each such nu's key to its
+    exponent vector and the keys of its orbit.  Shared: do not mutate it."""
+    table = _tables.pop(n, None)
+    if table is None or table[0] < cap:
+        chains = _chains((), None, n, cap)
+        powers = [(cap + 1) ** i for i in reversed(range(n))]
+        keys = {sum(map(mul, e, powers)): (e, tuple(sum(map(mul, o, powers)) for o in _orbit(e)))
+                for e in (nu + (0,) * (n - len(nu)) for nu in chains)}
+        cones = {nu: sorted((sum(e), sum(map(mul, e, powers)), c) for e, c in g.items())
+                 for nu, g in chains.items()}
+        table = cap, cones, keys, powers
+    _tables[n] = table
+    if len(_tables) > 64:
+        del _tables[next(iter(_tables))]
+    return table
 
 
 # a verify sweep asks for each unordered pair once per (n, cap); the
@@ -394,14 +411,14 @@ def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
     for cells in (sum(lam), sum(mu)):
         if cap < cells:
             raise ValueError(f"cap {cap} is below the cell count {cells}")
-    cones, keys, powers = _dominant_table(n, cap)
-    first, second = ([(d, o, c) for k, c in cones.get(parts, {}).items()
-                      if (d := sum(keys[k][0])) <= cap - sum(other) for o in keys[k][1]]
-                     for parts, other in ((lam, mu), (mu, lam)))
+    _, cones, keys, powers = _dominant_table(n, cap)
+    first, second = ([(d, o, c) for d, k, c in cones.get(parts, ()) if d <= cap - sum(other)
+                      for o in keys[k][1]] for parts, other in ((lam, mu), (mu, lam)))
     product = {k: c for k, c in _packed_product(first, second, cap).items() if c}
     residual = {k: c for k, c in product.items() if k in keys}
     if product != {o: c for k, c in residual.items() for o in keys[k][1]}:  # worded as `_peel`
         raise NotSymmetric(f"<poly n={n} terms={len(product)} cap={cap}> is not symmetric "
                            f"up to degree {cap}")
-    return _peel_cone(residual, range(sum(lam) + sum(mu), cap + 1), n, "G", cones.__getitem__,
+    return _peel_cone(residual, range(sum(lam) + sum(mu), cap + 1), n, "G",
+                      lambda nu: {k: c for d, k, c in cones[nu] if d <= cap},
                       lambda nu: sum(map(mul, nu, powers)), lambda k: keys[k][0])

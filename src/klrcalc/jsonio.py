@@ -17,11 +17,8 @@ from .tableaux import SetValuedFilling
 
 
 def filling_obj(filling: SetValuedFilling) -> dict:
-    obj = {
-        "outer": list(filling.shape.outer),
-        "inner": list(filling.shape.inner),
-        "rows": [[sorted(vals) for vals in row] for row in filling.rows()],
-    }
+    obj = {"outer": list(filling.shape.outer), "inner": list(filling.shape.inner),
+           "rows": [[sorted(vals) for vals in row] for row in filling.rows()]}
     if isinstance(filling.shape, RotatedShape):
         obj["rotated_of"] = list(filling.shape.lam)
     return obj
@@ -79,9 +76,7 @@ def marks_list(marks) -> list:
 
 
 def marked_obj(marked: MarkedGTPattern) -> dict:
-    obj = pattern_obj(marked.pattern)
-    obj["marks"] = marks_list(marked.marks)
-    return obj
+    return {**pattern_obj(marked.pattern), "marks": marks_list(marked.marks)}
 
 
 def marked_from_obj(obj: dict) -> MarkedGTPattern:
@@ -109,13 +104,8 @@ def expansion_obj(expansion: BasisExpansion) -> list:
 
 def trace_obj(trace: GammaTrace) -> dict:
     q = trace.query
-    obj = {
-        "direction": trace.direction,
-        "lambda": list(q.lam),
-        "mu": list(q.mu),
-        "nu": list(q.nu),
-        "n": q.n,
-    }
+    obj = {"direction": trace.direction, "lambda": list(q.lam), "mu": list(q.mu),
+           "nu": list(q.nu), "n": q.n}
     if trace.direction == "gamma":
         obj.update({
             "T": filling_obj(trace.tableau),

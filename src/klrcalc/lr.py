@@ -108,9 +108,7 @@ def witness_lists(lam, mu, n: int) -> dict:
     lam on the straight side and mu on the rotated one; nu is a partition
     because f is sub-dominant.  A nu with no witness has no key.
     """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    n = int(n)
+    lam, mu, n = Partition(lam), Partition(mu), int(n)
     if max(len(lam), len(mu)) > n:
         raise DomainError(f"n={n} smaller than a partition length")
     lists = {}

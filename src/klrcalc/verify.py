@@ -94,8 +94,7 @@ def check_rules(lam, mu, n: int) -> str:
     checks the public `gamma_inverse` would add: its input check is
     gamma's image check, and once t' == t its output check is gamma's
     input check and its round trip is gamma's own image of t."""
-    lam = Partition(lam)
-    mu = Partition(mu)
+    lam, mu = Partition(lam), Partition(mu)
     cap = lam.size() + mu.size() + 3
     expansion = grothendieck.expand_product(lam, mu, n, cap)
     lists = lr.witness_lists(lam, mu, n)
@@ -106,8 +105,7 @@ def check_rules(lam, mu, n: int) -> str:
     for nu in walk:
         query = lr.CoefficientQuery(lam, mu, nu, n)
         witnesses, contras = lists.get(nu, ((), ()))
-        buch = len(witnesses)
-        contra = len(contras)
+        buch, contra = len(witnesses), len(contras)
         raw = expansion.coefficient(nu)
         oracle = query.sign * raw
         instance = (tuple(lam), tuple(mu), tuple(nu))
@@ -136,8 +134,7 @@ def _shrink_partitions(parts: tuple):
             dec = sorted((p - 1 if k == idx else p for k, p in enumerate(parts)),
                          reverse=True)
             out.append(tuple(p for p in dec if p > 0))
-    seen = set()
-    return [p for p in out if not (p in seen or seen.add(p))]
+    return list(dict.fromkeys(out))  # each once, first place kept
 
 
 def shrink_instance(instance: tuple, still_fails) -> tuple:

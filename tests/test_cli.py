@@ -42,6 +42,31 @@ def test_coeff_parse_error_exit_code(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 1, "", "klrcalc: error: the following arguments are required: command\n"),
+    (["bogus"], 1, "", "klrcalc: error: argument command: invalid choice: 'bogus' (choose "
+     "from 'coeff', 'enumerate', 'bijection', 'word', 'verify', 'expand')\n"),
+    (["coeff", "--lambda", "1", "--mu", "1", "--nu", "2", "--extra"], 1, "",
+     "klrcalc: error: unrecognized arguments: --extra\n"),
+    (["coeff", "--lambda", "1"], 1, "",
+     "klrcalc coeff: error: the following arguments are required: --mu, --nu\n"),
+    (["coeff", "--lambda", "1", "--mu", "1", "--nu", "2", "--rule", "x"], 1, "",
+     "klrcalc coeff: error: argument --rule: invalid choice: 'x' (choose from 'buch', "
+     "'contra', 'oracle', 'all')\n"),
+    (["coeff", "--lam", "1", "--mu", "1", "--nu", "2"], 0, "1\n", ""),  # an abbreviation
+    (["coeff", "--lambda=1", "--mu=1", "--nu=2", "--rule", "all"], 0,
+     "buch=1 contra=1 oracle=1 AGREE\n", ""),
+])
+def test_usage_errors_and_forms(capsys, argv, code, out, err):
+    # a command's own parser reads its arguments; a missing or unknown
+    # command and a leftover argument are worded by the whole parser
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
 def test_enumerate_final_example(capsys):
     code, out, _ = run(capsys, "enumerate", "--shape", "rotated 3,2,1",
                        "--n", "4", "--weight", "1,3,3,2",

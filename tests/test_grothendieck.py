@@ -190,30 +190,60 @@ def test_expand_product_is_the_same_in_both_orders():
             assert forward.coeffs == backward.coeffs, (lam, mu)
 
 
+def test_expand_product_is_the_same_in_any_cap_order():
+    # a table built at a larger cap and cut to a smaller one is the table
+    # at that cap: every pair of size <= 3 at n = 3, at four caps each,
+    # ascending and then, from cold, descending, so that small caps read a
+    # table built larger.  The cache holds one table per n throughout
+    pairs = [(lam, mu) for lam in partitions_up_to(3) for mu in partitions_up_to(3)]
+
+    def expand(order):
+        grothendieck._expand_product.cache_clear()
+        grothendieck._tables.clear()
+        got, cut = {}, 0
+        for lam, mu in pairs:
+            low = lam.size() + mu.size()
+            for cap in order(range(low, low + 4)):
+                got[lam, mu, cap] = dict(grothendieck.expand_product(lam, mu, 3, cap).coeffs)
+                assert set(grothendieck._tables) <= {0, 1, 2, 3}
+                cut += grothendieck._tables[min(3, cap)][0] > cap
+        return got, cut
+
+    (ascending, _), (descending, cut) = expand(list), expand(reversed)
+    assert ascending == descending
+    assert cut > len(pairs)
+
+
 def test_multiply_matches_reference_on_verify_products(monkeypatch):
     # the oracle runs its own product loop on packed keys; each of its
-    # products, read back as exponent tuples, is the reference product
-    products = []
-    real = grothendieck._packed_product
+    # products, read back as exponent tuples in the base of the table it
+    # was keyed in, is the reference product
+    products, tables = [], []
+    real, real_table = grothendieck._packed_product, grothendieck._dominant_table
 
     def recording(a, b, limit):
         out = real(a, b, limit)
-        products.append((a, b, limit, out))
+        products.append((a, b, limit, out, tables[-1]))
         return out
 
+    def table(n, cap):
+        tables.append(real_table(n, cap))
+        return tables[-1]
+
     monkeypatch.setattr(grothendieck, "_packed_product", recording)
+    monkeypatch.setattr(grothendieck, "_dominant_table", table)
     grothendieck._expand_product.cache_clear()  # so every product is made here
     assert all(r.ok for r in verify.run_verify(3, 3, jobs=1))
     factors = len(list(partitions_up_to(3, max_length=3)))
     # one per unordered pair {lam, mu} of verify 3/3: the cap is symmetric
     assert len(products) == factors * (factors + 1) // 2
-    for a, b, cap, out in products:
-        powers = [(cap + 1) ** i for i in reversed(range(3))]  # n = 3, base cap + 1
+    for a, b, cap, out, (top, _, _, powers) in products:
+        n = len(powers)
 
         def unpacked(terms):
-            return {tuple(k // p % (cap + 1) for p in powers): c for k, c in terms if c}
+            return {tuple(k // p % (top + 1) for p in powers): c for k, c in terms if c}
 
-        fa, fb = (SparseIntPolynomial(3, unpacked((k, c) for _, k, c in f)) for f in (a, b))
+        fa, fb = (SparseIntPolynomial(n, unpacked((k, c) for _, k, c in f)) for f in (a, b))
         assert unpacked(out.items()) == multiply_reference(fa, fb, cap).terms
 
 
@@ -323,10 +353,10 @@ def test_expand_product_residual_message(monkeypatch):
     real = grothendieck._dominant_table
 
     def lossy(n, cap):
-        cones, keys, powers = real(n, cap)
+        top, cones, keys, powers = real(n, cap)
         cones = dict(cones)  # G_(2,1) loses x1^2 x2
-        cones[(2, 1)] = {k: c for k, c in cones[(2, 1)].items() if keys[k][0] != (2, 1)}
-        return cones, keys, powers
+        cones[(2, 1)] = [(d, k, c) for d, k, c in cones[(2, 1)] if keys[k][0] != (2, 1)]
+        return top, cones, keys, powers
 
     monkeypatch.setattr(grothendieck, "_dominant_table", lossy)
     grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
@@ -338,9 +368,10 @@ def test_expand_product_residual_message(monkeypatch):
 def test_expand_product_reports_an_asymmetric_product(monkeypatch):
     # the oracle peels the product's partition monomials alone, which is
     # exact only for a symmetric product; a product that lost x2^2 must
-    # be refused before the peel, not peeled to wrong coefficients
+    # be refused before the peel, not peeled to wrong coefficients.  The
+    # key of x2^2 is read in the base of the table the product will use
     real = grothendieck._packed_product
-    _, _, powers = grothendieck._dominant_table(2, 2)
+    _, _, _, powers = grothendieck._dominant_table(2, 2)
     lost = sum(map(mul, (0, 2), powers))
 
     def lossy(a, b, limit):
@@ -390,9 +421,9 @@ def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
     monkeypatch.setattr(grothendieck, "_g_cone", refuse)
     monkeypatch.setattr(grothendieck, "multiply", refuse)
     monkeypatch.setattr(SparseIntPolynomial, "__init__", refuse)
-    for cache in (grothendieck._expand_product, grothendieck._dominant_table,
-                  grothendieck._orbit, grothendieck._partitions):
+    for cache in (grothendieck._expand_product, grothendieck._orbit, grothendieck._partitions):
         cache.cache_clear()  # no cached product or table hides a call
+    grothendieck._tables.clear()
     assert [grothendieck.expand_product(*case).coeffs for case in cases] == expected
     assert any(len(lam) > n and not coeffs
                for (lam, _, n, _), coeffs in zip(cases, expected))
@@ -558,19 +589,22 @@ def test_chain_recursion_matches_enumeration():
                     checked += 1
     assert checked > 1000
     # the oracle's forward table: every G_nu with at most n parts and
-    # |nu| <= cap, at its partition exponents up to degree cap
-    checked = 0
+    # |nu| <= top, at its partition exponents up to degree top; cut to
+    # degree cap, a table built at a larger top is the table at cap
+    checked = cut = 0
     for n in range(5):
         for nu in partitions_up_to(6):
             for cap in range(nu.size(), nu.size() + 4):
-                cones, keys, _ = grothendieck._dominant_table(n, cap)
-                assert set(cones) == {k.parts for k in partitions_up_to(cap, max_length=n)}
+                top, cones, keys, _ = grothendieck._dominant_table(n, cap)
+                assert top >= cap
+                assert set(cones) == {k.parts for k in partitions_up_to(top, max_length=n)}
                 expected = {e: c for e, c in grothendieck_poly(nu, (), n, cap).terms.items()
                             if list(e) == sorted(e, reverse=True)}
-                got = {keys[k][0]: c for k, c in cones[nu.parts].items()} if len(nu) <= n else {}
+                got = {keys[k][0]: c for d, k, c in cones.get(nu.parts, ()) if d <= cap}
                 assert got == expected, (nu, n, cap)
                 checked += bool(expected)
-    assert checked > 250
+                cut += bool(expected) and top > cap
+    assert checked > 250 and cut > 100
 
 
 def test_chains_with_an_outer_shape_end_only_at_outer():
@@ -641,8 +675,9 @@ def test_bialternant_formulas():
             assert multiply(g, vandermonde) == _bialternant(lam, n, True), (lam, n)
             # the dominant table keeps the partition exponents of G_lam; a
             # symmetric polynomial is the orbit sum of those
-            cones, keys, _ = grothendieck._dominant_table(n, n * lam.size())
-            orbits = SparseIntPolynomial(n, {e: c for k, c in cones[lam.parts].items()
+            cap = n * lam.size()
+            _, cones, keys, _ = grothendieck._dominant_table(n, cap)
+            orbits = SparseIntPolynomial(n, {e: c for d, k, c in cones[lam.parts] if d <= cap
                                              for e in set(permutations(keys[k][0]))})
             assert multiply(orbits, vandermonde) == _bialternant(lam, n, True), (lam, n)
             s = schur_poly(lam, (), n)

@@ -176,6 +176,17 @@ def test_gamma_path_pattern_checks_name_the_step(rows, marks, what, detail):
     assert str(info.value) == f"{what} pattern invalid: {detail}"
 
 
+def test_gamma_inverse_checks_the_bottom_row():
+    # the decremented pattern of the empty contratableau at nu = (1,) is
+    # valid, but its bottom row is nu, not mu: the core refuses it rather
+    # than return a tableau of the wrong shape
+    empty = SetValuedFilling(rotate(()), {})
+    with pytest.raises(InternalInvariantError) as info:
+        lr._gamma_inverse(empty, CoefficientQuery((), (), (1,), 3))
+    assert str(info.value) == \
+        "decremented pattern invalid: bottom row (1, 0, 0) != Partition()"
+
+
 def _validated_patterns(run):
     """The pattern of every call to `gtpatterns.validate` while `run`
     runs, whatever name the caller reaches it by."""
