@@ -49,6 +49,7 @@ usage_errors() {
   refused 1 "klrcalc: error: argument command: invalid choice: 'bogus' (choose from \
 'coeff', 'enumerate', 'bijection', 'word', 'verify', 'expand')" python -m klrcalc bogus
   test "$(python -m klrcalc coeff --lam 1 --mu 1 --nu 2)" = 1
+  refused 1 'error: --jobs must be >= 1, got 0' python -m klrcalc verify --max-size 1 --n 1 --jobs 0
 }
 
 pooled_verify() {

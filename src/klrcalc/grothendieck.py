@@ -53,9 +53,10 @@ The degree bound only drops prefixes above the cap and later steps only
 add degree, so the table cut to degree <= c is the table at cap c: a
 product to degree c reads its factors, each trimmed by degree to what
 the other leaves under c, and its basis terms to degree c alone.  The
-product is checked, cut to its cone and peeled unpacked.  `multiply`
-and the public peels work on exponent tuples, read `_g_cone` and share
-no loop with the oracle, so they stay its plain reference.
+product is checked, cut to its cone and peeled in packed keys; only the
+text of a ResidualNonzero unpacks one.  `multiply` and the public peels
+work on exponent tuples, read `_g_cone` and share no loop with the
+oracle, so they stay its plain reference.
 
 Caches: `expand_product` hands out the `BasisExpansion` of
 `_expand_product`, so its `coeffs` is read-only; no public function

@@ -10,9 +10,9 @@ Both are one strip engine in two orientations, placed by `_frame`.
 Straight: pass i writes i, and pattern row j is shape row j read from
 the left.  Rotated: pass i writes n+1-i, and pattern row j is bottom-row
 j read from the right.  The passes depend on the pattern alone, so
-`_strips_of` validates a pattern once and runs them once per orientation,
-keeping the unmarked cell masks in the pattern's own `_strips` slot;
-`_expand` copies them and ORs in the marks of each marking.
+the cached `_strips_of` validates a pattern once and runs them in both
+orientations, keeping the unmarked cell masks; `_expand` copies them and
+ORs in the marks of each marking.
 `upsilon_inverse` and `omega_inverse` slice the masks into pattern rows
 through the same frame, and `_contract` undoes the passes from a cached
 reading of each row, accepting exactly the semistandard fillings with
@@ -26,82 +26,54 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import DomainError, NotRotatedShape, NotStraightShape
-from .shapes import Partition, RotatedShape, rotate, skew
+from .shapes import Partition, rotate, skew
 from .tableaux import MAX_ENTRY, SetValuedFilling, weight
 
 
-class GTPattern:
-    """Triangular integer array; row i (1-based, from the top) has i entries.
-
-    `rows` is set once, on construction: `_recover` shares its patterns.
-    `_strips`, left unset until the first expansion, keeps per orientation
-    what `_strips_of` built; equality and hashing read `rows` only.
+class GTPattern(tuple):
+    """Triangular integer array, kept as the tuple of its rows; row i
+    (1-based, from the top) is a tuple of i ints.  `==`, hashing, pickling
+    and immutability are those of that tuple, so the patterns `_recover`
+    shares cannot change under its callers.
     """
 
-    __slots__ = ("rows", "_strips")
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
-        object.__setattr__(self, "rows", rows)
+        return tuple.__new__(cls, rows)
 
-    @classmethod
-    def _trusted(cls, rows: tuple):
-        """Wrap `rows` unchecked: a tuple whose row i is a tuple of i ints."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        return self
+    _trusted = classmethod(tuple.__new__)  # unchecked: row i is a tuple of i ints
 
-    def __setattr__(self, name, value):
-        if name == "rows":
-            raise AttributeError("a pattern's rows cannot be reassigned")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"a pattern's {name} cannot be deleted")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not by setting slots
-        return GTPattern, (self.rows,)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other):
-        if isinstance(other, GTPattern):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
+    rows = property(tuple)
+    n = property(len)
 
     def __repr__(self):
-        return f"GTPattern{self.rows}"
+        return f"GTPattern{tuple(self)}"
 
 
 def validate(pattern: GTPattern) -> bool:
     """Rows are partitions that interlace: every north-east and south-east
     difference is non-negative, and so is the bottom row's last entry."""
-    rows = pattern.rows
-    for above, row in zip(rows, rows[1:]):
+    for above, row in zip(pattern, pattern[1:]):
         for left, x, right in zip(row, above, row[1:]):  # x sits between them
             if left < x or x < right:
                 return False
-    return not rows or rows[-1][-1] >= 0
+    return not pattern or pattern[-1][-1] >= 0
 
 
 def markable_positions(pattern: GTPattern) -> frozenset:
     """Positions (i, j) with strictly positive south-east slack."""
-    rows = pattern.rows
     return frozenset((i, j)
-                     for i in range(2, len(rows) + 1)
+                     for i in range(2, len(pattern) + 1)
                      for j in range(1, i)
-                     if rows[i - 2][j - 1] - rows[i - 1][j] > 0)
+                     if pattern[i - 2][j - 1] - pattern[i - 1][j] > 0)
 
 
 def check_marks(rows: tuple, marks) -> None:
@@ -114,37 +86,32 @@ def check_marks(rows: tuple, marks) -> None:
         raise ValueError(f"positions not markable: {sorted(bad)}")
 
 
-class MarkedGTPattern:
-    """A pattern together with marks at positions of positive slack."""
+class MarkedGTPattern(tuple):
+    """A pattern together with marks at positions of positive slack, kept
+    as the pair (pattern, marks), marks a frozenset of (i, j) positions."""
 
-    __slots__ = ("pattern", "marks")
+    __slots__ = ()
 
-    def __init__(self, pattern: GTPattern, marks=()):
+    def __new__(cls, pattern: GTPattern, marks=()):
         marks = frozenset((int(i), int(j)) for (i, j) in marks)
         check_marks(pattern.rows, marks)
-        self.pattern = pattern
-        self.marks = marks
+        return tuple.__new__(cls, (pattern, marks))
 
     @classmethod
     def _trusted(cls, pattern: GTPattern, marks: frozenset):
         """Wrap unchecked: `marks` is a frozenset of (int, int) positions
         drawn from `markable_positions(pattern)`."""
-        self = cls.__new__(cls)
-        self.pattern = pattern
-        self.marks = marks
-        return self
+        return tuple.__new__(cls, (pattern, marks))
+
+    pattern = property(itemgetter(0))
+    marks = property(itemgetter(1))
+
+    def __getnewargs__(self):  # pickle and copy rebuild through the constructor
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return self.pattern.n
-
-    def __eq__(self, other):
-        if isinstance(other, MarkedGTPattern):
-            return self.pattern == other.pattern and self.marks == other.marks
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pattern, self.marks))
+        return len(self[0])
 
     def __repr__(self):
         return f"MarkedGTPattern({self.pattern!r}, marks={sorted(self.marks)})"
@@ -201,31 +168,28 @@ def _frame(parts: tuple, rotated: bool) -> tuple:
     return rotate(lam) if rotated else skew(lam, ()), tuple(itertools.accumulate(parts, initial=0))
 
 
-def _strips_of(pattern: GTPattern, rotated: bool) -> tuple:
-    """(shape, starts, masks) of `pattern` expanded in one orientation with
-    no marks, in `_frame`'s strip order; DomainError unless the pattern is
-    valid.  Validated once per pattern and built once per orientation, then
-    kept in the pattern's `_strips` slot; a pattern that fails keeps nothing."""
-    memo = getattr(pattern, "_strips", None)
-    if memo is None:
-        if not validate(pattern):
-            raise DomainError(f"invalid pattern {pattern!r}")
-        memo = pattern._strips = [None, None]
-    elif memo[rotated] is not None:
-        return memo[rotated]
-    rows = pattern.rows
-    n = len(rows)
-    shape, starts = _frame(rows[-1] if n else (), rotated)
-    masks = [0] * starts[-1]
-    for i in range(1, n + 1):
-        bit = 1 << (n - i if rotated else i - 1)  # label n+1-i or i
-        above = rows[i - 2] if i > 1 else ()
-        for j, width in enumerate(rows[i - 1], start=1):
-            have = above[j - 1] if j < i else 0
-            for c in range(have, width):
-                masks[starts[j - 1] + c] = bit
-    memo[rotated] = strips = (shape, starts, tuple(masks))
-    return strips
+@lru_cache(maxsize=1024)
+def _strips_of(pattern: GTPattern) -> tuple:
+    """Per orientation, straight then rotated, (shape, starts, masks) of
+    `pattern` expanded with no marks, in `_frame`'s strip order;
+    DomainError unless the pattern is valid.  Cached on the pattern, so
+    each is validated once and expanded once in both orientations."""
+    if not validate(pattern):
+        raise DomainError(f"invalid pattern {pattern!r}")
+    n = len(pattern)
+    strips = []
+    for rotated in (False, True):
+        shape, starts = _frame(pattern[-1] if n else (), rotated)
+        masks = [0] * starts[-1]
+        for i in range(1, n + 1):
+            bit = 1 << (n - i if rotated else i - 1)  # label n+1-i or i
+            above = pattern[i - 2] if i > 1 else ()
+            for j, width in enumerate(pattern[i - 1], start=1):
+                have = above[j - 1] if j < i else 0
+                for c in range(have, width):
+                    masks[starts[j - 1] + c] = bit
+        strips.append((shape, starts, tuple(masks)))
+    return tuple(strips)
 
 
 def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
@@ -238,13 +202,12 @@ def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
     orientation; each marking copies those masks and ORs in its mark
     labels, in any order, since a cell's label set is a union.
     """
-    pattern = marked.pattern
-    shape, starts, strips = _strips_of(pattern, rotated)
+    pattern, marks = marked
+    shape, starts, strips = _strips_of(pattern)[rotated]
     masks = list(strips)
-    rows = pattern.rows
-    n = len(rows)
-    for (i, j) in marked.marks:  # markable: x(i-1, j) > x(i, j+1) >= 0
-        masks[starts[j - 1] + rows[i - 2][j - 1] - 1] |= 1 << (n - i if rotated else i - 1)
+    n = len(pattern)
+    for (i, j) in marks:  # markable: x(i-1, j) > x(i, j+1) >= 0
+        masks[starts[j - 1] + pattern[i - 2][j - 1] - 1] |= 1 << (n - i if rotated else i - 1)
     return SetValuedFilling._trusted(shape, tuple(masks[::-1] if rotated else masks))
 
 
@@ -313,7 +276,7 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     if pattern is None:
         raise DomainError("filling is not semistandard enough to invert")
     try:
-        check_marks(pattern.rows, marks)
+        check_marks(pattern, marks)
     except ValueError as exc:
         raise DomainError(f"recovered marks are not markable: {exc}") from exc
     if loose:
@@ -380,14 +343,13 @@ def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     return _read(filling, filling.shape.outer, n, rotated=False)
 
 
+@lru_cache(maxsize=1024)
 def _rotated_source(shape) -> Partition:
     """The partition whose rotated embedding equals `shape`."""
-    if isinstance(shape, RotatedShape):
-        return shape.lam
     lengths = [len(shape.row_cols(r)) for r in range(shape.num_rows, 0, -1)]
     if lengths != sorted(lengths, reverse=True) or rotate(lengths) != shape:
         raise NotRotatedShape(f"{shape!r} is not a rotated diagram")
-    return rotate(lengths).lam
+    return Partition(lengths)
 
 
 def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:

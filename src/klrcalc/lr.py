@@ -168,7 +168,7 @@ class GammaTrace:
 def _copies(marked: MarkedGTPattern, i: int, j: int) -> int:
     """Copies of pass label i in pattern row j of the filling `marked`
     expands to: the cells pass i adds to row j, plus one for a mark (i, j)."""
-    rows = marked.pattern.rows
+    rows = marked.pattern  # the tuple of its rows
     before = rows[i - 2][j - 1] if j < i else 0
     return rows[i - 1][j - 1] - before + ((i, j) in marked.marks)
 

@@ -9,12 +9,11 @@ of a rotated shape from the bottom.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le, lt
+from operator import itemgetter, le, lt
 
 from .errors import ContainmentError
 
 _item = tuple.__getitem__  # global: filling a default argument slows each call
-_set = object.__setattr__  # how an immutable object sets its slots once
 
 
 class Partition(tuple):
@@ -70,31 +69,27 @@ def contains(mu, lam) -> bool:
     return len(mu) <= len(lam) and all(map(le, mu, lam))
 
 
-class SkewShape:
-    """Cells of an outer Young diagram with an inner diagram removed.
-
-    Immutable: every attribute is set once, on construction, so a shape
-    that `rotate` or a filling shares cannot change under its holders.
+class SkewShape(tuple):
+    """Cells of an outer Young diagram with an inner diagram removed, kept
+    as the pair (outer, inner): `==`, hashing, pickling and immutability
+    are those of that tuple, so a shape that `rotate` or a filling shares
+    cannot change under its holders.
     """
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ()
 
-    def __init__(self, outer, inner=()):
+    def __new__(cls, outer, inner=()):
         outer = Partition(outer)
         inner = Partition(inner)
         if not contains(inner, outer):
             raise ContainmentError(f"{inner} is not contained in {outer}")
-        _set(self, "outer", outer)
-        _set(self, "inner", inner)
+        return tuple.__new__(cls, (outer, inner))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    outer = property(itemgetter(0))
+    inner = property(itemgetter(1))
 
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not by setting slots
-        return SkewShape, (self.outer, self.inner)
+    def __getnewargs__(self):  # pickle and copy rebuild through the constructor
+        return tuple(self)
 
     @property
     def num_rows(self) -> int:
@@ -111,14 +106,6 @@ class SkewShape:
     def num_cells(self) -> int:
         return self.outer.size() - self.inner.size()
 
-    def __eq__(self, other):
-        if isinstance(other, SkewShape):
-            return self.outer == other.outer and self.inner == other.inner
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
-
     def __repr__(self):
         return f"SkewShape({self.outer.parts}/{self.inner.parts})"
 
@@ -128,19 +115,24 @@ class RotatedShape(SkewShape):
 
     Row i from the bottom holds lam[i-1] cells; the bounding box has
     l(lam) rows and lam[0] columns, so the cell set is the rotation of
-    the ordinary Young diagram of lam.
+    the ordinary Young diagram of lam.  It is the same pair (outer, inner)
+    as the plain skew shape with these cells, and equal to it.
     """
 
-    __slots__ = ("lam",)
+    __slots__ = ()
 
-    def __init__(self, lam):
+    def __new__(cls, lam):
         lam = Partition(lam)
         width = lam[0]
-        super().__init__((width,) * len(lam), tuple(width - p for p in lam[::-1]))
-        _set(self, "lam", lam)
+        return super().__new__(cls, (width,) * len(lam), tuple(width - p for p in lam[::-1]))
 
-    def __reduce__(self):
-        return RotatedShape, (self.lam,)
+    @property
+    def lam(self) -> Partition:
+        outer, inner = self
+        return Partition([outer[0] - inner[r] for r in reversed(range(len(outer)))])
+
+    def __getnewargs__(self):
+        return (self.lam,)
 
     def __repr__(self):
         return f"RotatedShape({self.lam.parts})"

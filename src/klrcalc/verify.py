@@ -154,6 +154,9 @@ def shrink_instance(instance: tuple, still_fails) -> tuple:
         current = step
 
 
+CHUNK = 4  # instances a pool worker takes at a time
+
+
 def _run_check(check_name: str, *args) -> str:
     """Run the check of this module named `check_name`, looked up at call
     time, so a replaced module attribute is the one that runs."""
@@ -165,18 +168,19 @@ def _run_sweep(name, instances, check_name, jobs) -> SweepResult:
     failure to a minimal one.
 
     An instance is its partitions followed by n; shrinking keeps n.
-    Workers get the check's name, not the function, so a replaced check
-    need not be picklable.  Shrinking reads one memo of details per
-    sweep, so failures that shrink through the same instances check each
-    of them once.
+    Every run goes through `_run_check`, so workers get the check's name,
+    not the function, and a replaced check need not be picklable.  The
+    pool has at most one worker per chunk of `CHUNK` instances.
+    Shrinking reads one memo of details per sweep, so failures that
+    shrink through the same instances check each of them once.
     """
-    check = globals()[check_name]
+    check = partial(_run_check, check_name)
     if jobs is not None and jobs > 1 and len(instances) > 1:
         # imported here: loading the pool machinery slows every process's start
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            details = list(pool.map(partial(_run_check, check_name),
-                                    *zip(*instances), chunksize=4))
+        chunks = -(-len(instances) // CHUNK)
+        with ProcessPoolExecutor(max_workers=min(jobs, chunks)) as pool:
+            details = list(pool.map(check, *zip(*instances), chunksize=CHUNK))
     else:
         details = [check(*args) for args in instances]
     memo = dict(zip(instances, details))
@@ -200,12 +204,14 @@ def run_verify(max_size: int, n: int, seed=None, jobs=None) -> list:
     `seed` only shuffles the instance order (the instance set is always
     exhaustive), `jobs` fans instances out over processes.  Bounds that
     leave a sweep with no instance raise InputError, so a run that
-    checks nothing never reports a pass; so does an n above the largest
-    entry, before any work.
+    checks nothing never reports a pass; so do a `jobs` below 1 and an n
+    above the largest entry, before any work.
     """
     if max_size < 0 or n < 1:
         raise InputError(f"verify needs --max-size >= 0 and --n >= 1, "
                          f"got --max-size {max_size} --n {n}")
+    if jobs is not None and jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {jobs}")
     if n > tableaux.MAX_ENTRY:
         raise InputError(f"--n must be <= {tableaux.MAX_ENTRY}, got {n}")
     bijection_instances = [(tuple(lam), m)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import random
@@ -422,6 +423,46 @@ def test_verify_workers_run_a_replaced_check(monkeypatch):
     bijections, rules = verify.run_verify(1, 2, jobs=2)
     assert bijections.ok and rules.checked == 4
     assert rules.failures == [(((1,), (1,), 2), "boom")]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's worker count
+    and maps in this process, so no process starts."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each pool `verify` makes from here on."""
+    made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(made, max_workers))
+    return made
+
+
+def test_verify_pool_has_at_most_one_worker_per_chunk(pools):
+    # 7 bijection and 16 rule instances, 4 to a chunk: 2 and 4 workers
+    bijections, rules = verify.run_verify(2, 2, jobs=64)
+    assert pools == [2, 4]
+    assert (bijections.checked, rules.checked) == (7, 16)
+    assert bijections.ok and rules.ok
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_refuses_jobs_below_one(capsys, pools, jobs):
+    code, out, err = run(capsys, "verify", "--max-size", "1", "--n", "1", "--jobs", jobs)
+    assert (code, out, err, pools) == (1, "", f"error: --jobs must be >= 1, got {jobs}\n", [])
 
 
 def test_verify_shrinks_through_each_instance_once(monkeypatch, capsys):

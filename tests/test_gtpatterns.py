@@ -48,11 +48,42 @@ def test_pattern_rows_are_set_once():
         with pytest.raises(AttributeError):
             action()
     assert pattern.rows == ((2,), (2, 1))
-    # the expansion memo is still the pattern's own to set
+    # the expansion is cached per pattern, both orientations at once
+    gtpatterns._strips_of.cache_clear()
     omega(MarkedGTPattern(pattern, [(2, 1)]))
-    assert pattern._strips[True] is not None
+    upsilon(MarkedGTPattern(pattern, []))
+    info = gtpatterns._strips_of.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     for back in (pickle.loads(pickle.dumps(pattern)), copy.copy(pattern)):
         assert type(back) is GTPattern and back == pattern
+
+
+def test_values_are_the_tuples_of_their_fields():
+    pattern = GTPattern([(2,), (2, 1)])
+    marked = MarkedGTPattern(pattern, [(2, 1)])
+    for value, fields in ((skew((3, 1), (1,)), ((3, 1), (1,))),
+                          (rotate((2, 1)), ((2, 2), (1,))),
+                          (pattern, ((2,), (2, 1))),
+                          (marked, (pattern, frozenset({(2, 1)})))):
+        assert value == fields and hash(value) == hash(fields)
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(back) is type(value) and back == value
+    assert copy.copy(rotate((2, 1))).lam == (2, 1)
+    for name, value in (("pattern", GTPattern([(1,), (1, 0)])), ("marks", frozenset())):
+        with pytest.raises(AttributeError):
+            setattr(marked, name, value)
+    assert marked == (pattern, {(2, 1)})
+    # pickle and copy rebuild through the constructor, which refuses what
+    # an unchecked build let through
+    forged = [(tuple.__new__(klrcalc.SkewShape, (Partition((1,)), Partition((2,)))),
+               klrcalc.ContainmentError),
+              (GTPattern._trusted(((1, 2),)), ValueError),
+              (MarkedGTPattern._trusted(pattern, frozenset({(2, 2)})), ValueError)]
+    for value, error in forged:
+        for rebuild in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy):
+            with pytest.raises(error):
+                rebuild(value)
 
 
 def test_enumerate_gt_small():
@@ -502,6 +533,7 @@ def test_check_bijections_validates_each_pattern_once_per_map(monkeypatch, lam, 
     # the first build's check, plus one per pattern for both inverses: every
     # marking of a pattern and both its images recover it from one cache entry
     gtpatterns._recover.cache_clear()
+    gtpatterns._strips_of.cache_clear()
     real = gtpatterns.validate
     seen = []
 

@@ -213,6 +213,7 @@ def test_gamma_path_validates_each_pattern_once():
     for run, count in ((lambda: gamma(wx.t1(), q), 2),
                        (lambda: gamma_inverse(wx.s1(), q), 4)):
         gtpatterns._recover.cache_clear()
+        gtpatterns._strips_of.cache_clear()
         seen = _validated_patterns(run)
         assert len(seen) == count
         assert len({id(p) for p in seen}) == count
