@@ -249,6 +249,24 @@ PY
   test "$got" = 46c92eae7e771fc69554690e0e2608dc5490c744148957449fb4557f7626ba31
 }
 
+oracle_products_any_order() {
+  # the 1,560 expansions of oracle_products computed in reverse order in one
+  # process, so each pair's largest n and cap comes first and the rest are
+  # cut from it; printed in oracle_products' order, to the same digest
+  got=$(python - <<'PY' | sha256sum | cut -d' ' -f1
+from klrcalc import partitions_up_to
+from klrcalc.grothendieck import expand_product
+shapes = list(partitions_up_to(4))
+keys = [(lam, mu, n, lam.size() + mu.size() + extra) for i, lam in enumerate(shapes)
+        for mu in shapes[i:] for n in range(5) for extra in range(4)]
+got = {key: expand_product(*key).items() for key in reversed(keys)}
+for lam, mu, n, cap in keys:
+    print(lam.parts, mu.parts, n, cap, got[lam, mu, n, cap])
+PY
+  )
+  test "$got" = 46c92eae7e771fc69554690e0e2608dc5490c744148957449fb4557f7626ba31
+}
+
 small_n_skew_polys() {
   # 800 polynomials where an outer shape's lower clip bites hardest:
   # n = 0, n below the outer length, and exhaustive caps
@@ -309,7 +327,7 @@ failed=0
 for pin in cli_smoke usage_errors pooled_verify pooled_verify_size_4 bijection_round_trips \
            inverse_outputs every_filling_inverts schur_and_closed_pipe large_n \
            long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
-           public_expansions oracle_products small_n_skew_polys \
+           public_expansions oracle_products oracle_products_any_order small_n_skew_polys \
            pruned_witness_search unweighted_witness_streams gamma_certificates \
            selfcheck; do
   (set -e; "$pin") > "$tmp/pin.log" 2>&1

@@ -59,9 +59,10 @@ work on exponent tuples, read `_g_cone` and share no loop with the
 oracle, so they stay its plain reference.
 
 Caches: `expand_product` hands out the `BasisExpansion` of
-`_expand_product`, so its `coeffs` is read-only; no public function
-hands out the dicts of `_dominant_table` or `_g_cone`; `_orbit` and
-`_partitions` return tuples.
+`_expand_product`, so its `coeffs` is read-only; `_products` holds one
+expansion per unordered pair at the largest n and cap asked, to cut the
+rest from; no public function hands out the dicts of `_dominant_table`
+or `_g_cone`; `_orbit` and `_partitions` return tuples.
 """
 
 from __future__ import annotations
@@ -367,6 +368,12 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
     rest set to 0.  The product commutes, so results are cached by the unordered pair
     {lam, mu} with n and cap: G_mu * G_lam is the same object.  The
     expansion is shared between callers, so its `coeffs` is read-only.
+
+    Each pair is peeled once at the largest n and cap asked for it so far;
+    a smaller query reads that expansion cut, in order, to nu with at most
+    n parts and |nu| <= cap.  That is exact: the peel is triangular by
+    degree, so no coefficient to degree cap reads a term above it, and
+    x_{n+1} = ... = 0 sends G_nu to G_nu in n variables, or to 0 past n parts.
     """
     first, second = sorted((Partition(lam), Partition(mu)))
     return _expand_product(first, second, min(int(n), int(cap)), int(cap))
@@ -399,19 +406,39 @@ def _dominant_table(n: int, cap: int) -> tuple:
     return table
 
 
-# a verify sweep asks for each unordered pair once per (n, cap); the
-# bound caps long-lived sessions, as _g_cone's does
+# (lam, mu): (n, cap, the pair's expansion in n variables to degree cap),
+# least recently used first; both bounds cap long-lived sessions
+_products: dict = {}
+
+
 @lru_cache(maxsize=1024)
 def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
+    """G_lam * G_mu, lam <= mu, in n <= cap variables to degree cap: the
+    pair's expansion in `_products`, peeled anew at a larger n or cap, cut."""
+    for cells in (sum(lam), sum(mu)):
+        if cap < cells:
+            raise ValueError(f"cap {cap} is below the cell count {cells}")
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    top, top_cap, expansion = _products.pop((lam, mu), (n, cap, None))
+    if expansion is None or n > top or cap > top_cap:
+        top, top_cap = max(n, top), max(cap, top_cap)
+        expansion = _peel_product(lam, mu, top, top_cap)
+    _products[lam, mu] = top, top_cap, expansion
+    if len(_products) > 1024:
+        del _products[next(iter(_products))]
+    if (n, cap) == (top, top_cap):
+        return expansion
+    return BasisExpansion("G", MappingProxyType(
+        {nu: c for nu, c in expansion.coeffs.items() if len(nu) <= n and sum(nu) <= cap}))
+
+
+def _peel_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
     """G_lam * G_mu in the packed keys of `_dominant_table(n, cap)`, each
     factor the orbit sum of its cone (0 past n parts) less its terms above
     cap - |other|, as no term of G_other lies below degree |other|.  The
     product is checked symmetric, so by the module docstring its cone gives
-    the full peel's coefficients; a residual is left only by a wrong basis element.
-    """
-    for cells in (sum(lam), sum(mu)):
-        if cap < cells:
-            raise ValueError(f"cap {cap} is below the cell count {cells}")
+    the full peel's coefficients; a residual is left only by a wrong basis element."""
     _, cones, keys, powers = _dominant_table(n, cap)
     first, second = ([(d, o, c) for d, k, c in cones.get(parts, ()) if d <= cap - sum(other)
                       for o in keys[k][1]] for parts, other in ((lam, mu), (mu, lam)))

@@ -72,6 +72,19 @@ def homogeneous(p, degree):
     return SparseIntPolynomial(p.n, {e: c for e, c in p.terms.items() if sum(e) == degree})
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """The cap of each product the oracle's product loop makes from now on."""
+    real, caps = grothendieck._packed_product, []
+
+    def counted(a, b, limit):
+        caps.append(limit)
+        return real(a, b, limit)
+
+    monkeypatch.setattr(grothendieck, "_packed_product", counted)
+    return caps
+
+
 def test_polynomial_basics():
     p = SparseIntPolynomial(2, {(1, 0): 1, (0, 1): 0})
     assert p.terms == {(1, 0): 1}
@@ -184,34 +197,40 @@ def test_expand_product_is_the_same_in_both_orders():
         for mu in lams:
             cap = lam.size() + mu.size() + 3
             grothendieck._expand_product.cache_clear()
+            grothendieck._products.clear()
             forward = grothendieck.expand_product(lam, mu, 3, cap)
             grothendieck._expand_product.cache_clear()
+            grothendieck._products.clear()
             backward = grothendieck.expand_product(mu, lam, 3, cap)
             assert forward.coeffs == backward.coeffs, (lam, mu)
 
 
-def test_expand_product_is_the_same_in_any_cap_order():
-    # a table built at a larger cap and cut to a smaller one is the table
-    # at that cap: every pair of size <= 3 at n = 3, at four caps each,
-    # ascending and then, from cold, descending, so that small caps read a
-    # table built larger.  The cache holds one table per n throughout
+def test_expand_product_is_the_same_in_any_cap_order(products):
+    # an expansion peeled at a larger cap and cut to a smaller one is the
+    # expansion at that cap: every pair of size <= 3 at n = 3, at four caps
+    # each, ascending and then, from cold, descending.  Descending, each
+    # unordered pair is peeled once, at its largest cap, and every smaller
+    # cap is a cut of it.  The cache holds one table per n throughout
     pairs = [(lam, mu) for lam in partitions_up_to(3) for mu in partitions_up_to(3)]
 
     def expand(order):
         grothendieck._expand_product.cache_clear()
+        grothendieck._products.clear()
         grothendieck._tables.clear()
-        got, cut = {}, 0
+        products.clear()
+        got = {}
         for lam, mu in pairs:
             low = lam.size() + mu.size()
             for cap in order(range(low, low + 4)):
                 got[lam, mu, cap] = dict(grothendieck.expand_product(lam, mu, 3, cap).coeffs)
                 assert set(grothendieck._tables) <= {0, 1, 2, 3}
-                cut += grothendieck._tables[min(3, cap)][0] > cap
-        return got, cut
+        return got, len(products)
 
-    (ascending, _), (descending, cut) = expand(list), expand(reversed)
+    (ascending, grown), (descending, once) = expand(list), expand(reversed)
     assert ascending == descending
-    assert cut > len(pairs)
+    shapes = len(list(partitions_up_to(3)))
+    assert once == shapes * (shapes + 1) // 2 == 28
+    assert grown == 4 * once
 
 
 def test_multiply_matches_reference_on_verify_products(monkeypatch):
@@ -233,6 +252,7 @@ def test_multiply_matches_reference_on_verify_products(monkeypatch):
     monkeypatch.setattr(grothendieck, "_packed_product", recording)
     monkeypatch.setattr(grothendieck, "_dominant_table", table)
     grothendieck._expand_product.cache_clear()  # so every product is made here
+    grothendieck._products.clear()
     assert all(r.ok for r in verify.run_verify(3, 3, jobs=1))
     factors = len(list(partitions_up_to(3, max_length=3)))
     # one per unordered pair {lam, mu} of verify 3/3: the cap is symmetric
@@ -360,6 +380,7 @@ def test_expand_product_residual_message(monkeypatch):
 
     monkeypatch.setattr(grothendieck, "_dominant_table", lossy)
     grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
+    grothendieck._products.clear()
     with pytest.raises(ResidualNonzero) as info:
         grothendieck.expand_product((1,), (1,), 2, 4)
     assert str(info.value) == "degree 3 did not clear; lowest monomial (2, 1)"
@@ -379,6 +400,7 @@ def test_expand_product_reports_an_asymmetric_product(monkeypatch):
 
     monkeypatch.setattr(grothendieck, "_packed_product", lossy)
     grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
+    grothendieck._products.clear()
     with pytest.raises(NotSymmetric) as info:
         grothendieck.expand_product((1,), (1,), 2, 2)
     assert str(info.value) == "<poly n=2 terms=2 cap=2> is not symmetric up to degree 2"
@@ -388,6 +410,7 @@ def test_expand_product_matches_full_peel():
     # the dominant-cone peel against the public full peel, at a cap past
     # the product's lowest degree and at one below it; l(lam) > n included
     grothendieck._expand_product.cache_clear()
+    grothendieck._products.clear()
     shapes = list(partitions_up_to(4))
     checked = 0
     for n in range(5):
@@ -424,6 +447,7 @@ def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
     for cache in (grothendieck._expand_product, grothendieck._orbit, grothendieck._partitions):
         cache.cache_clear()  # no cached product or table hides a call
     grothendieck._tables.clear()
+    grothendieck._products.clear()
     assert [grothendieck.expand_product(*case).coeffs for case in cases] == expected
     assert any(len(lam) > n and not coeffs
                for (lam, _, n, _), coeffs in zip(cases, expected))
@@ -462,6 +486,7 @@ def test_expand_product_is_stable_when_n_grows():
     # past n parts, so the n-variable coefficients are the (n + 1)-variable
     # ones on nu with at most n parts
     grothendieck._expand_product.cache_clear()
+    grothendieck._products.clear()
     shapes = list(partitions_up_to(4))
     checked = 0
     for n in range(5):
@@ -494,12 +519,40 @@ def test_expand_product_reads_at_most_cap_variables():
 
 
 def test_expand_product_argument_errors():
+    # the arguments are checked before the stored expansions are read: a
+    # pair held at a larger n and cap still refuses a bad n and a low cap
+    grothendieck.expand_product((1,), (1,), 4, 8)
+    grothendieck.expand_product((3,), (1,), 4, 8)
     with pytest.raises(ValueError) as info:
         grothendieck.expand_product((1,), (1,), -1, 2)
     assert str(info.value) == "n must be at least 0, got -1"
     with pytest.raises(ValueError) as info:
         grothendieck.expand_product((3,), (1,), 2, 2)
     assert str(info.value) == "cap 2 is below the cell count 3"
+
+
+def test_expand_product_is_the_same_in_any_query_order(products):
+    # the store grows a pair's expansion to the largest n and cap asked and
+    # cuts it to each smaller query; in a shuffled order, each answer is the
+    # one computed cold, in coefficients and in their order
+    shapes = list(partitions_up_to(3))
+    keys = [(lam, mu, n, cap) for lam in shapes for mu in shapes for n in range(1, 5)
+            for cap in range(lam.size() + mu.size(), lam.size() + mu.size() + 4)]
+
+    def cold(key):
+        grothendieck._expand_product.cache_clear()
+        grothendieck._products.clear()
+        return list(grothendieck.expand_product(*key).coeffs.items())
+
+    expected = {key: cold(key) for key in keys}
+    random.Random(30).shuffle(keys)
+    products.clear()
+    grothendieck._expand_product.cache_clear()
+    grothendieck._products.clear()
+    for key in keys:
+        assert list(grothendieck.expand_product(*key).coeffs.items()) == expected[key], key
+    assert len(keys) == 784
+    assert len(products) == 76  # for 28 unordered pairs
 
 
 def test_expand_in_g_basis_of_an_uncapped_polynomial():
