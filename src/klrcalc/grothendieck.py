@@ -58,11 +58,13 @@ text of a ResidualNonzero unpacks one.  `multiply` and the public peels
 work on exponent tuples, read `_g_cone` and share no loop with the
 oracle, so they stay its plain reference.
 
-Caches: `expand_product` hands out the `BasisExpansion` of
-`_expand_product`, so its `coeffs` is read-only; `_products` holds one
-expansion per unordered pair at the largest n and cap asked, to cut the
-rest from; no public function hands out the dicts of `_dominant_table`
-or `_g_cone`; `_orbit` and `_partitions` return tuples.
+Caches: all are `lru_cache`s.  `expand_product` hands out the
+`BasisExpansion` of `_expand_product`, so its `coeffs` is read-only.
+`_products` (1,024 pairs) and `_tables` (64 tables) each cache a slot
+grown in place: one expansion per unordered pair at the largest n and
+cap asked, to cut the rest from; one table per n at the largest cap.
+No public function hands out the dicts of `_dominant_table` or
+`_g_cone`; `_orbit` and `_partitions` return tuples.
 """
 
 from __future__ import annotations
@@ -379,9 +381,9 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
     return _expand_product(first, second, min(int(n), int(cap)), int(cap))
 
 
-# one table per n, least recently used first, at most 64 of them; a
-# product cached by partitions stays valid when its table is rebuilt
-_tables: dict = {}
+# one table per n: an lru_cache of a slot grown in place, at most 64 of
+# them; a product cached by partitions stays valid when its table is rebuilt
+_tables = lru_cache(maxsize=64)(lambda n: [(-1,)])
 
 
 def _dominant_table(n: int, cap: int) -> tuple:
@@ -391,24 +393,21 @@ def _dominant_table(n: int, cap: int) -> tuple:
     cones: each nu with at most n parts to G_nu's partition-exponent terms
     as (degree, key, coefficient) by degree; keys: each such nu's key to its
     exponent vector and the keys of its orbit.  Shared: do not mutate it."""
-    table = _tables.pop(n, None)
-    if table is None or table[0] < cap:
+    slot = _tables(n)
+    if slot[0][0] < cap:
         chains = _chains((), None, n, cap)
         powers = [(cap + 1) ** i for i in reversed(range(n))]
         keys = {sum(map(mul, e, powers)): (e, tuple(sum(map(mul, o, powers)) for o in _orbit(e)))
                 for e in (nu + (0,) * (n - len(nu)) for nu in chains)}
         cones = {nu: sorted((sum(e), sum(map(mul, e, powers)), c) for e, c in g.items())
                  for nu, g in chains.items()}
-        table = cap, cones, keys, powers
-    _tables[n] = table
-    if len(_tables) > 64:
-        del _tables[next(iter(_tables))]
-    return table
+        slot[0] = cap, cones, keys, powers
+    return slot[0]
 
 
-# (lam, mu): (n, cap, the pair's expansion in n variables to degree cap),
-# least recently used first; both bounds cap long-lived sessions
-_products: dict = {}
+# (lam, mu): an lru_cache of a slot grown in place, at most 1,024 pairs:
+# (n, cap, the expansion at that n and cap), set only once a peel returns
+_products = lru_cache(maxsize=1024)(lambda lam, mu: [(-1, -1, None)])
 
 
 @lru_cache(maxsize=1024)
@@ -420,13 +419,12 @@ def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
             raise ValueError(f"cap {cap} is below the cell count {cells}")
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
-    top, top_cap, expansion = _products.pop((lam, mu), (n, cap, None))
-    if expansion is None or n > top or cap > top_cap:
+    slot = _products(lam, mu)
+    top, top_cap, expansion = slot[0]
+    if n > top or cap > top_cap:
         top, top_cap = max(n, top), max(cap, top_cap)
         expansion = _peel_product(lam, mu, top, top_cap)
-    _products[lam, mu] = top, top_cap, expansion
-    if len(_products) > 1024:
-        del _products[next(iter(_products))]
+        slot[0] = top, top_cap, expansion
     if (n, cap) == (top, top_cap):
         return expansion
     return BasisExpansion("G", MappingProxyType(

@@ -197,15 +197,15 @@ def test_expand_product_is_the_same_in_both_orders():
         for mu in lams:
             cap = lam.size() + mu.size() + 3
             grothendieck._expand_product.cache_clear()
-            grothendieck._products.clear()
+            grothendieck._products.cache_clear()
             forward = grothendieck.expand_product(lam, mu, 3, cap)
             grothendieck._expand_product.cache_clear()
-            grothendieck._products.clear()
+            grothendieck._products.cache_clear()
             backward = grothendieck.expand_product(mu, lam, 3, cap)
             assert forward.coeffs == backward.coeffs, (lam, mu)
 
 
-def test_expand_product_is_the_same_in_any_cap_order(products):
+def test_expand_product_is_the_same_in_any_cap_order(products, cold_caches):
     # an expansion peeled at a larger cap and cut to a smaller one is the
     # expansion at that cap: every pair of size <= 3 at n = 3, at four caps
     # each, ascending and then, from cold, descending.  Descending, each
@@ -214,16 +214,14 @@ def test_expand_product_is_the_same_in_any_cap_order(products):
     pairs = [(lam, mu) for lam in partitions_up_to(3) for mu in partitions_up_to(3)]
 
     def expand(order):
-        grothendieck._expand_product.cache_clear()
-        grothendieck._products.clear()
-        grothendieck._tables.clear()
+        cold_caches()
         products.clear()
         got = {}
         for lam, mu in pairs:
             low = lam.size() + mu.size()
             for cap in order(range(low, low + 4)):
                 got[lam, mu, cap] = dict(grothendieck.expand_product(lam, mu, 3, cap).coeffs)
-                assert set(grothendieck._tables) <= {0, 1, 2, 3}
+                assert grothendieck._tables.cache_info().currsize <= 4  # n = 0..3
         return got, len(products)
 
     (ascending, grown), (descending, once) = expand(list), expand(reversed)
@@ -233,7 +231,7 @@ def test_expand_product_is_the_same_in_any_cap_order(products):
     assert grown == 4 * once
 
 
-def test_multiply_matches_reference_on_verify_products(monkeypatch):
+def test_multiply_matches_reference_on_verify_products(monkeypatch, cold_caches):
     # the oracle runs its own product loop on packed keys; each of its
     # products, read back as exponent tuples in the base of the table it
     # was keyed in, is the reference product
@@ -251,8 +249,6 @@ def test_multiply_matches_reference_on_verify_products(monkeypatch):
 
     monkeypatch.setattr(grothendieck, "_packed_product", recording)
     monkeypatch.setattr(grothendieck, "_dominant_table", table)
-    grothendieck._expand_product.cache_clear()  # so every product is made here
-    grothendieck._products.clear()
     assert all(r.ok for r in verify.run_verify(3, 3, jobs=1))
     factors = len(list(partitions_up_to(3, max_length=3)))
     # one per unordered pair {lam, mu} of verify 3/3: the cap is symmetric
@@ -366,7 +362,7 @@ def test_expand_g_basis_residual_message(monkeypatch):
     assert str(info.value) == "degree 3 did not clear; lowest monomial (2, 1)"
 
 
-def test_expand_product_residual_message(monkeypatch):
+def test_expand_product_residual_message(monkeypatch, cold_caches):
     # expand_product peels the partition monomials alone, and each one
     # clears when its own basis element is peeled, unless that element
     # has lost its leading term
@@ -379,14 +375,12 @@ def test_expand_product_residual_message(monkeypatch):
         return top, cones, keys, powers
 
     monkeypatch.setattr(grothendieck, "_dominant_table", lossy)
-    grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
-    grothendieck._products.clear()
     with pytest.raises(ResidualNonzero) as info:
         grothendieck.expand_product((1,), (1,), 2, 4)
     assert str(info.value) == "degree 3 did not clear; lowest monomial (2, 1)"
 
 
-def test_expand_product_reports_an_asymmetric_product(monkeypatch):
+def test_expand_product_reports_an_asymmetric_product(monkeypatch, cold_caches):
     # the oracle peels the product's partition monomials alone, which is
     # exact only for a symmetric product; a product that lost x2^2 must
     # be refused before the peel, not peeled to wrong coefficients.  The
@@ -399,18 +393,14 @@ def test_expand_product_reports_an_asymmetric_product(monkeypatch):
         return {k: c for k, c in real(a, b, limit).items() if k != lost}
 
     monkeypatch.setattr(grothendieck, "_packed_product", lossy)
-    grothendieck._expand_product.cache_clear()  # a cached product would hide lossy
-    grothendieck._products.clear()
     with pytest.raises(NotSymmetric) as info:
         grothendieck.expand_product((1,), (1,), 2, 2)
     assert str(info.value) == "<poly n=2 terms=2 cap=2> is not symmetric up to degree 2"
 
 
-def test_expand_product_matches_full_peel():
+def test_expand_product_matches_full_peel(cold_caches):
     # the dominant-cone peel against the public full peel, at a cap past
     # the product's lowest degree and at one below it; l(lam) > n included
-    grothendieck._expand_product.cache_clear()
-    grothendieck._products.clear()
     shapes = list(partitions_up_to(4))
     checked = 0
     for n in range(5):
@@ -426,7 +416,7 @@ def test_expand_product_matches_full_peel():
     assert checked > 400
 
 
-def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
+def test_expand_product_builds_no_factor_of_its_own(monkeypatch, cold_caches):
     # the factors come from the table the peel reads, and the product stays
     # in packed keys, so the oracle works with the public builders' cache,
     # multiply and every polynomial construction patched to raise; its
@@ -444,10 +434,7 @@ def test_expand_product_builds_no_factor_of_its_own(monkeypatch):
     monkeypatch.setattr(grothendieck, "_g_cone", refuse)
     monkeypatch.setattr(grothendieck, "multiply", refuse)
     monkeypatch.setattr(SparseIntPolynomial, "__init__", refuse)
-    for cache in (grothendieck._expand_product, grothendieck._orbit, grothendieck._partitions):
-        cache.cache_clear()  # no cached product or table hides a call
-    grothendieck._tables.clear()
-    grothendieck._products.clear()
+    cold_caches()  # no cached product or table hides a call
     assert [grothendieck.expand_product(*case).coeffs for case in cases] == expected
     assert any(len(lam) > n and not coeffs
                for (lam, _, n, _), coeffs in zip(cases, expected))
@@ -481,12 +468,10 @@ def test_public_expansions_build_no_full_basis_polynomial(monkeypatch):
     assert sum(len(g) + len(s) for g, s in expected) == 242
 
 
-def test_expand_product_is_stable_when_n_grows():
+def test_expand_product_is_stable_when_n_grows(cold_caches):
     # G_nu in n + 1 variables maps to G_nu in n when x_{n+1} = 0, and to 0
     # past n parts, so the n-variable coefficients are the (n + 1)-variable
     # ones on nu with at most n parts
-    grothendieck._expand_product.cache_clear()
-    grothendieck._products.clear()
     shapes = list(partitions_up_to(4))
     checked = 0
     for n in range(5):
@@ -531,7 +516,7 @@ def test_expand_product_argument_errors():
     assert str(info.value) == "cap 2 is below the cell count 3"
 
 
-def test_expand_product_is_the_same_in_any_query_order(products):
+def test_expand_product_is_the_same_in_any_query_order(products, cold_caches):
     # the store grows a pair's expansion to the largest n and cap asked and
     # cuts it to each smaller query; in a shuffled order, each answer is the
     # one computed cold, in coefficients and in their order
@@ -541,18 +526,63 @@ def test_expand_product_is_the_same_in_any_query_order(products):
 
     def cold(key):
         grothendieck._expand_product.cache_clear()
-        grothendieck._products.clear()
+        grothendieck._products.cache_clear()
         return list(grothendieck.expand_product(*key).coeffs.items())
 
     expected = {key: cold(key) for key in keys}
     random.Random(30).shuffle(keys)
     products.clear()
-    grothendieck._expand_product.cache_clear()
-    grothendieck._products.clear()
+    cold_caches()
     for key in keys:
         assert list(grothendieck.expand_product(*key).coeffs.items()) == expected[key], key
     assert len(keys) == 784
     assert len(products) == 76  # for 28 unordered pairs
+
+
+def test_oracle_stores_are_bounded(monkeypatch, cold_caches):
+    # one table per n, at most 64: n = 0..64 at cap 1 builds 65 tables and
+    # evicts the least recently used, n = 0, which the next ask builds again;
+    # n = 64, used since, is kept
+    assert grothendieck._tables.cache_info().maxsize == 64
+    assert grothendieck._products.cache_info().maxsize == 1024
+    real, built = grothendieck._chains, []
+
+    def counted(inner, outer, n, cap):
+        built.append(n)
+        return real(inner, outer, n, cap)
+
+    monkeypatch.setattr(grothendieck, "_chains", counted)
+    for n in [*range(65), 0, 64]:
+        assert grothendieck._dominant_table(n, 1)[0] == 1
+    assert built == [*range(65), 0]
+    assert grothendieck._tables.cache_info().currsize == 64
+
+
+def test_a_peel_that_raises_leaves_the_stored_pair(monkeypatch, products, cold_caches):
+    # the store is written only once a peel returns: after a peel at a
+    # larger n and cap fails, the pair answers its stored n and cap with no
+    # new product, and the larger query as cold once the peel works again
+    expected = {}
+    for n, cap in ((2, 3), (3, 4)):
+        cold_caches()
+        expected[n, cap] = list(grothendieck.expand_product((1,), (1,), n, cap).coeffs.items())
+    cold_caches()
+    grothendieck.expand_product((1,), (1,), 2, 3)
+    real = grothendieck._peel_product
+
+    def broken(*args):
+        raise RuntimeError("peel failed")
+
+    monkeypatch.setattr(grothendieck, "_peel_product", broken)
+    with pytest.raises(RuntimeError):
+        grothendieck.expand_product((1,), (1,), 3, 4)
+    monkeypatch.setattr(grothendieck, "_peel_product", real)
+    grothendieck._expand_product.cache_clear()
+    products.clear()
+    assert list(grothendieck.expand_product((1,), (1,), 2, 3).coeffs.items()) == expected[2, 3]
+    assert products == []
+    assert list(grothendieck.expand_product((1,), (1,), 3, 4).coeffs.items()) == expected[3, 4]
+    assert products == [4]
 
 
 def test_expand_in_g_basis_of_an_uncapped_polynomial():

@@ -41,7 +41,7 @@ def test_pattern_shape_errors():
         MarkedGTPattern(wx.GT_EXAMPLE, [(2, 2)])  # zero slack position
 
 
-def test_pattern_rows_are_set_once():
+def test_pattern_rows_are_set_once(cold_caches):
     pattern = GTPattern([(2,), (2, 1)])
     for action in (lambda: setattr(pattern, "rows", ((9,),)),
                    lambda: delattr(pattern, "rows")):
@@ -49,7 +49,6 @@ def test_pattern_rows_are_set_once():
             action()
     assert pattern.rows == ((2,), (2, 1))
     # the expansion is cached per pattern, both orientations at once
-    gtpatterns._strips_of.cache_clear()
     omega(MarkedGTPattern(pattern, [(2, 1)]))
     upsilon(MarkedGTPattern(pattern, []))
     info = gtpatterns._strips_of.cache_info()
@@ -528,12 +527,11 @@ def test_unmarkable_marks_message(inverse, shape, rows, positions):
 
 
 @pytest.mark.parametrize("lam, n, calls", [((2, 1), 3, 16), ((3, 2, 1), 4, 128)])
-def test_check_bijections_validates_each_pattern_once_per_map(monkeypatch, lam, n, calls):
+def test_check_bijections_validates_each_pattern_once_per_map(monkeypatch, cold_caches, lam, n,
+                                                             calls):
     # one per pattern for both forward maps, the second orientation reusing
     # the first build's check, plus one per pattern for both inverses: every
     # marking of a pattern and both its images recover it from one cache entry
-    gtpatterns._recover.cache_clear()
-    gtpatterns._strips_of.cache_clear()
     real = gtpatterns.validate
     seen = []
 
@@ -567,10 +565,9 @@ def test_recovered_patterns_are_exact_cold_and_warm():
     assert len(marked) == 4122
 
 
-def test_recovered_invalid_pattern_is_refused_alike_on_a_hit():
+def test_recovered_invalid_pattern_is_refused_alike_on_a_hit(cold_caches):
     # a 2 under a 2 reads counts that do not interlace; a mark changes no
     # count, so the marked filling is refused from the cache, word for word
-    gtpatterns._recover.cache_clear()
     plain = SetValuedFilling.from_rows(skew((2, 2)), [[{1}, {2}], [{2}, {2}]])
     marked = SetValuedFilling.from_rows(skew((2, 2)), [[{1, 2}, {2}], [{2}, {2}]])
     for filling in (plain, marked, plain):
@@ -582,10 +579,9 @@ def test_recovered_invalid_pattern_is_refused_alike_on_a_hit():
     assert gtpatterns._recover(((1, 2), (0, 2)), 2) is None
 
 
-def test_recovered_pattern_is_keyed_on_n():
+def test_recovered_pattern_is_keyed_on_n(cold_caches):
     # an empty filling reads no counts at every n, yet each n has its own
     # pattern of n zero rows
-    gtpatterns._recover.cache_clear()
     for inverse, shape in ((upsilon_inverse, skew(())), (omega_inverse, rotate(()))):
         for n in (2, 3, 2, 1):
             got = inverse(SetValuedFilling(shape, {}), n)

@@ -204,7 +204,7 @@ def _validated_patterns(run):
     return seen
 
 
-def test_gamma_path_validates_each_pattern_once():
+def test_gamma_path_validates_each_pattern_once(cold_caches):
     # gamma: the recovered and the relabelled pattern; gamma_inverse: the
     # recovered and the decremented one, then the same two for its round
     # trip through gamma.  Expanding a pattern does not check it again.
@@ -212,8 +212,7 @@ def test_gamma_path_validates_each_pattern_once():
     q = final_query()
     for run, count in ((lambda: gamma(wx.t1(), q), 2),
                        (lambda: gamma_inverse(wx.s1(), q), 4)):
-        gtpatterns._recover.cache_clear()
-        gtpatterns._strips_of.cache_clear()
+        cold_caches()
         seen = _validated_patterns(run)
         assert len(seen) == count
         assert len({id(p) for p in seen}) == count

@@ -309,9 +309,8 @@ def test_long_shapes_search_past_the_recursion_limit():
                                                 singleton=True)] == [(1, 1), (1, 2)]
 
 
-def test_search_plan_is_built_once_per_shape_and_width():
+def test_search_plan_is_built_once_per_shape_and_width(cold_caches):
     # an equal shape built anew and a weight as long as n share the plan
-    tableaux._plan.cache_clear()
     first = list(enumerate_svt(skew((3, 2), (1,)), 3))
     assert list(enumerate_svt(skew((3, 2), (1,)), 3)) == first
     list(enumerate_svt(skew((3, 2), (1,)), 3, weight_filter=(1, 2, 1)))
