@@ -13,11 +13,12 @@ j read from the right.  The passes depend on the pattern alone, so
 the cached `_strips_of` validates a pattern once and runs them in both
 orientations, keeping the unmarked cell masks; `_expand` copies them and
 ORs in the marks of each marking.
-`upsilon_inverse` and `omega_inverse` slice the masks into pattern rows
-through the same frame, and `_contract` undoes the passes from a cached
-reading of each row, accepting exactly the semistandard fillings with
-entries at most n.  It recovers and validates each pattern once, since
-every marking of a pattern and both its images read the same counts.
+`upsilon_inverse` and `omega_inverse` read the masks as pattern rows
+through the same frame, and `_contract` undoes the passes in one pass
+over them, accepting exactly the semistandard fillings with entries at
+most n.  Its one cache, `_recover`, recovers and validates each
+pattern once, since every marking of a pattern and both its images
+read the same counts.
 `check_marks` is the one test of a marking, shared by the
 `MarkedGTPattern` constructor, `_contract` and the gamma path in `lr`.
 """
@@ -234,17 +235,19 @@ def omega(marked: MarkedGTPattern) -> SetValuedFilling:
     return _expand(marked, rotated=True)
 
 
-def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
+def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPattern:
     """The inverse of `_expand`, for a filling with at most n pattern rows
-    and entries at most n, as one tuple of cell masks per pattern row.
+    and entries at most n, as its cell masks in strip order, pattern row j
+    the cells starts[j-1] .. starts[j]-1.
 
     A value v reads as its pass label, v or n+1-v when rotated.  A cell's
-    key, its smallest label, is the pass that created it, and every larger
-    label is one mark.  x(i, j) counts the cells of row j with key at most
-    i.  The same few rows recur across fillings, so the cached `_read_row`
-    reads each row, and its results are combined here.  The counts fix
-    the pattern, so the cached `_recover` builds and validates each
-    pattern once; keys, marks and the loose test stay per filling.
+    key, its smallest label, is the pass that created it: the lowest set
+    bit, or n+1 less the highest when rotated.  Every other label is one
+    mark, and x(i, j) counts the cells of row j with key at most i.  One
+    pass over each row's masks reads all three.  The counts fix the
+    pattern, so the cached `_recover`, the one cache of the inverse,
+    builds and validates each pattern once; keys, marks and the loose
+    test stay per filling.
 
     Exactly the semistandard fillings invert.  Failures raise DomainError,
     checked in this order (an entry above n is `_read`'s to refuse): the
@@ -255,14 +258,27 @@ def _contract(rows, n: int, rotated: bool) -> MarkedGTPattern:
     most v-1, so no cell's largest label exceeds the next key.
     """
     marks, counts, first, loose = set(), [], None, False
-    for j, row in enumerate(rows, start=1):
-        row_counts, labels, key, row_loose = _read_row(row, j, n, rotated)
-        if key and (first is None or key < first[0]):  # the first unjustified key
-            first = (key, j)
-        loose = loose or row_loose
-        if labels:
-            marks.update([(v, j) for v in labels])
-        counts.append(row_counts)
+    for j in range(1, len(starts)):
+        hist = [0] * n
+        low = high = j  # floors for the next key: the last key, the last label
+        for m in masks[starts[j - 1]:starts[j]]:
+            if rotated:
+                key, top = n + 1 - m.bit_length(), n + 1 - (m & -m).bit_length()
+                rest = m ^ 1 << n - key
+            else:
+                key, top = (m & -m).bit_length(), m.bit_length()
+                rest = m & m - 1
+            while rest:
+                bit = rest & -rest
+                marks.add((n + 1 - bit.bit_length() if rotated else bit.bit_length(), j))
+                rest ^= bit
+            if key < high:
+                if key < low and (first is None or key < first[0]):  # the first unjustified key
+                    first = (key, j)
+                loose = True
+            low, high = key, top
+            hist[key - 1] += 1
+        counts.append(tuple(itertools.accumulate(hist)))
     if first:
         i, j = first
         if i >= j:
@@ -293,42 +309,21 @@ def _recover(counts: tuple, n: int):
     return pattern if validate(pattern) else None
 
 
-@lru_cache(maxsize=256)
-def _read_row(row: tuple, j: int, n: int, rotated: bool) -> tuple:
-    """(counts, marks, unjustified, loose) of pattern row j with cell masks
-    `row`: x(i, j) for i = 1..n; the labels v of its marks (v, j); the
-    smallest key below the key before it (j before the first), or None;
-    and whether some key lies below the largest label before it."""
-    hist, marks, unjustified, loose = [0] * n, [], None, False
-    low = high = j  # floors for the next key: the last key, the last label
-    for m in row:
-        labels = [n - v if rotated else v + 1 for v in range(m.bit_length()) if m >> v & 1]
-        key, top = min(labels), max(labels)
-        marks += [v for v in labels if v != key]
-        if key < high:
-            if key < low and (unjustified is None or key < unjustified):
-                unjustified = key
-            loose = True
-        low, high = key, top
-        hist[key - 1] += 1
-    return tuple(itertools.accumulate(hist)), tuple(marks), unjustified, loose
-
-
 def _read(filling: SetValuedFilling, lam: Partition, n, rotated: bool) -> MarkedGTPattern:
     """Contract `filling` of the straight or rotated shape of `lam`, in the
     strip order `_expand` writes; `n` defaults to the larger of the top
     entry and the row count, and is at most `MAX_ENTRY`."""
     masks = filling.masks[::-1] if rotated else filling.masks
     starts = _frame(lam, rotated)[1]
-    rows = [masks[a:b] for a, b in zip(starts, starts[1:])]
     top = max(masks, default=0).bit_length()  # the largest entry, 0 if none
+    rows = len(starts) - 1
     if n is None:
-        n = max(top, len(rows))
-    elif max(top, len(rows)) > n:
+        n = max(top, rows)
+    elif max(top, rows) > n:
         raise DomainError(f"filling does not fit in a pattern of size {n}")
     if n > MAX_ENTRY:
         raise DomainError(f"n={n} is above the largest entry {MAX_ENTRY}")
-    return _contract(rows, n, rotated)
+    return _contract(masks, starts, n, rotated)
 
 
 def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:

@@ -427,24 +427,25 @@ def _all_fillings(shape, n):
 
 
 def test_inverses_accept_exactly_the_semistandard_fillings():
-    # every filling of every straight and rotated shape with |lam| <= 3, n = 3
-    n = 3
-    checked = 0
-    reasons = collections.Counter()
-    for lam in partitions_up_to(3):
-        for shape, inverse, forward in ((skew(lam), upsilon_inverse, upsilon),
-                                        (rotate(lam), omega_inverse, omega)):
-            for filling in _all_fillings(shape, n):
-                checked += 1
-                if is_semistandard(filling):
-                    assert forward(inverse(filling, n)) == filling
-                else:
-                    with pytest.raises(DomainError) as info:
-                        inverse(filling, n)
-                    reasons[str(info.value).split(":")[0]] += 1
-    assert checked == 2270
+    # every filling of every straight and rotated shape with |lam| <= 3 at
+    # n = 3, and with |lam| <= 2 at n = 4, where the rotated labels differ
+    checked = collections.Counter()
+    reasons = {3: collections.Counter(), 4: collections.Counter()}
+    for n, size in ((3, 3), (4, 2)):
+        for lam in partitions_up_to(size):
+            for shape, inverse, forward in ((skew(lam), upsilon_inverse, upsilon),
+                                            (rotate(lam), omega_inverse, omega)):
+                for filling in _all_fillings(shape, n):
+                    checked[n] += 1
+                    if is_semistandard(filling):
+                        assert forward(inverse(filling, n)) == filling
+                    else:
+                        with pytest.raises(DomainError) as info:
+                            inverse(filling, n)
+                        reasons[n][str(info.value).split(":")[0]] += 1
+    assert checked == {3: 2270, 4: 932}
     # which check reports each rejected filling: the first failing one
-    assert reasons == {
+    assert reasons[3] == {
         "value at most 1 appears below row 1": 456,
         "value at most 2 appears below row 2": 42,
         "cells with small minima are not left justified": 292,
@@ -453,6 +454,14 @@ def test_inverses_accept_exactly_the_semistandard_fillings():
         "cells with large maxima are not right justified": 292,
         "recovered marks are not markable": 66,
         "filling is not semistandard enough to invert": 446,
+    }
+    assert reasons[4] == {
+        "value at most 1 appears below row 1": 120,
+        "cells with small minima are not left justified": 70,
+        "value at least 4 appears above row 1": 120,
+        "cells with large maxima are not right justified": 70,
+        "recovered marks are not markable": 106,
+        "filling is not semistandard enough to invert": 282,
     }
 
 
@@ -517,13 +526,18 @@ def test_inverses_refuse_n_above_the_largest_entry(inverse, shape):
     (omega_inverse, rotate((2, 1)), [[{2}], [{1}, {1, 2, 3}]], "[(2, 1), (3, 1)]"),
     (omega_inverse, rotate((1, 1, 1)), [[{1}], [{1, 2}], [{1, 2, 3}]],
      "[(2, 1), (3, 1), (3, 2)]"),
+    # two cells of one row recover the same mark, listed once
+    (upsilon_inverse, skew((2, 2)), [[{1, 2}, {1, 2}], [{2}, {2}]], "[(2, 1)]"),
 ])
 def test_unmarkable_marks_message(inverse, shape, rows, positions):
-    # every recovered mark without slack is listed, sorted, in one message
-    with pytest.raises(DomainError) as info:
-        inverse(SetValuedFilling.from_rows(shape, rows), 3)
-    assert str(info.value) == \
-        f"recovered marks are not markable: positions not markable: {positions}"
+    # every recovered mark without slack is listed, sorted, in one message,
+    # at every n from the smallest the filling fits up to 3, and at None
+    top = max(max(cell) for row in rows for cell in row)
+    for n in (None, *range(max(top, len(rows)), 4)):
+        with pytest.raises(DomainError) as info:
+            inverse(SetValuedFilling.from_rows(shape, rows), n)
+        assert str(info.value) == \
+            f"recovered marks are not markable: positions not markable: {positions}"
 
 
 @pytest.mark.parametrize("lam, n, calls", [((2, 1), 3, 16), ((3, 2, 1), 4, 128)])
