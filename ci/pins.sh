@@ -1,27 +1,15 @@
 #!/usr/bin/env bash
 # Every output pin: exact CLI output, digests of exhaustive sweeps, refusals
 # with their exit codes, and the benchmark's selfcheck digests.  Run it as
-# `bash ci/pins.sh` from any directory, or as `bash ci/pins.sh PIN...` to run
-# only the named pins; an unknown name exits 2 with the usage line.  It prints
-# "pass <pin>" or "FAIL <pin>" and the failed pin's output, exits 1 if any pin
-# failed, and writes only into one temporary directory (bytecode too), which
-# it removes.
+# `bash ci/pins.sh` from any directory.  It prints "pass <pin>" or "FAIL <pin>"
+# and the failed pin's output, exits 1 if any pin failed, and writes only into
+# one temporary directory (bytecode too), which it removes.
 #
 # No pipefail: `enumerate | head -1` exits nonzero by design.  Each pin runs as
 # `(set -e; pin)` on a line of its own: in an `if` or `||` context bash would
 # ignore `set -e` inside the pin.
 
-pins="cli_smoke usage_errors pooled_verify pooled_verify_size_4 bijection_round_trips
-      inverse_outputs every_filling_inverts schur_and_closed_pipe large_n
-      long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys
-      public_expansions oracle_products oracle_products_any_order small_n_skew_polys
-      pruned_witness_search unweighted_witness_streams gamma_certificates
-      selfcheck"
-known() { local pin; for pin in $pins; do [ "$pin" = "$1" ] && return 0; done; return 1; }
-for pin in "$@"; do
-  known "$pin" || { echo "usage: bash ci/pins.sh [PIN...]" >&2; exit 2; }
-done
-[ $# = 0 ] || pins="$*"
+[ $# = 0 ] || { echo "usage: bash ci/pins.sh" >&2; exit 2; }
 cd "$(dirname "${BASH_SOURCE[0]}")/.." || exit 2
 tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
@@ -336,7 +324,12 @@ selfcheck() {
 }
 
 failed=0
-for pin in $pins; do
+for pin in cli_smoke usage_errors pooled_verify pooled_verify_size_4 bijection_round_trips \
+           inverse_outputs every_filling_inverts schur_and_closed_pipe large_n \
+           long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
+           public_expansions oracle_products oracle_products_any_order small_n_skew_polys \
+           pruned_witness_search unweighted_witness_streams gamma_certificates \
+           selfcheck; do
   (set -e; "$pin") > "$tmp/pin.log" 2>&1
   if [ $? = 0 ]; then
     echo "pass $pin"

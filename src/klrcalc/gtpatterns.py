@@ -16,8 +16,8 @@ ORs in the marks of each marking.
 `upsilon_inverse` and `omega_inverse` read the masks as pattern rows
 through the same frame, and `_contract` undoes the passes in one pass
 over them, accepting exactly the semistandard fillings with entries at
-most n.  Its one cache, `_recover`, recovers and validates each
-pattern once, since every marking of a pattern and both its images
+most n.  No row is cached; the cached `_recover` recovers and validates
+each pattern once, since every marking of a pattern and both its images
 read the same counts.
 `check_marks` is the one test of a marking, shared by the
 `MarkedGTPattern` constructor, `_contract` and the gamma path in `lr`.
@@ -244,10 +244,10 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
     key, its smallest label, is the pass that created it: the lowest set
     bit, or n+1 less the highest when rotated.  Every other label is one
     mark, and x(i, j) counts the cells of row j with key at most i.  One
-    pass over each row's masks reads all three.  The counts fix the
-    pattern, so the cached `_recover`, the one cache of the inverse,
-    builds and validates each pattern once; keys, marks and the loose
-    test stay per filling.
+    pass over each row's masks reads all three, and no row is cached.
+    The counts fix the pattern, so the cached `_recover` builds and
+    validates each pattern once; keys, marks and the loose test stay per
+    filling.
 
     Exactly the semistandard fillings invert.  Failures raise DomainError,
     checked in this order (an entry above n is `_read`'s to refuse): the
