@@ -313,6 +313,31 @@ gamma_certificates() {
   done
 }
 
+gamma_traces() {
+  # the gamma trace of every straight-side witness of every lambda, mu of
+  # size <= 4 at n = 4, then the gamma_inverse trace of its image, nu in
+  # sorted order: 1,006 witnesses, with every N, Zp, dSE, ops and N_up
+  got=$(python - <<'PY'
+import hashlib, json
+from klrcalc import partitions_up_to
+from klrcalc.jsonio import trace_obj
+from klrcalc.lr import CoefficientQuery, gamma, gamma_inverse, witness_lists
+digest = hashlib.sha256()
+for lam in partitions_up_to(4):
+    for mu in partitions_up_to(4):
+        lists = witness_lists(lam, mu, 4)
+        for nu in sorted(lists):
+            q = CoefficientQuery(lam, mu, nu, 4)
+            for t in lists[nu][0]:
+                forward = gamma(t, q)
+                for trace in (forward, gamma_inverse(forward.contratableau, q)):
+                    digest.update(json.dumps(trace_obj(trace), sort_keys=True).encode())
+print(digest.hexdigest())
+PY
+  )
+  test "$got" = 24eceb83bd058bc5e7902bd2726321c3e4eaafef396964319641eff875dcfa60
+}
+
 selfcheck() {
   # the digests cover every certificate and verify line the four
   # workloads print; they are the same on Python 3.10 and 3.11
@@ -329,7 +354,7 @@ for pin in cli_smoke usage_errors pooled_verify pooled_verify_size_4 bijection_r
            long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
            public_expansions oracle_products oracle_products_any_order small_n_skew_polys \
            pruned_witness_search unweighted_witness_streams gamma_certificates \
-           selfcheck; do
+           gamma_traces selfcheck; do
   (set -e; "$pin") > "$tmp/pin.log" 2>&1
   if [ $? = 0 ]; then
     echo "pass $pin"

@@ -16,9 +16,9 @@ ORs in the marks of each marking.
 `upsilon_inverse` and `omega_inverse` read the masks as pattern rows
 through the same frame, and `_contract` undoes the passes in one pass
 over them, accepting exactly the semistandard fillings with entries at
-most n.  No row is cached; the cached `_recover` recovers and validates
-each pattern once, since every marking of a pattern and both its images
-read the same counts.
+most n.  No row is cached; `_recover`, cached on the cells' keys (the
+pass that created each cell), counts and validates each pattern once,
+since every marking of a pattern and both its images read the same keys.
 `check_marks` is the one test of a marking, shared by the
 `MarkedGTPattern` constructor, `_contract` and the gamma path in `lr`.
 """
@@ -244,10 +244,10 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
     key, its smallest label, is the pass that created it: the lowest set
     bit, or n+1 less the highest when rotated.  Every other label is one
     mark, and x(i, j) counts the cells of row j with key at most i.  One
-    pass over each row's masks reads all three, and no row is cached.
-    The counts fix the pattern, so the cached `_recover` builds and
-    validates each pattern once; keys, marks and the loose test stay per
-    filling.
+    pass over each row's masks reads keys and marks, and no row is cached.
+    The keys fix the pattern, so `_recover`, cached on the keys, builds
+    the counts and validates each pattern once; marks and the loose test
+    stay per filling.
 
     Exactly the semistandard fillings invert.  Failures raise DomainError,
     checked in this order (an entry above n is `_read`'s to refuse): the
@@ -257,9 +257,8 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
     slack; each mark (v, j) sits in cell x(v-1, j), the last with key at
     most v-1, so no cell's largest label exceeds the next key.
     """
-    marks, counts, first, loose = set(), [], None, False
+    marks, keys, first, loose = set(), [], None, False
     for j in range(1, len(starts)):
-        hist = [0] * n
         low = high = j  # floors for the next key: the last key, the last label
         for m in masks[starts[j - 1]:starts[j]]:
             if rotated:
@@ -277,8 +276,7 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
                     first = (key, j)
                 loose = True
             low, high = key, top
-            hist[key - 1] += 1
-        counts.append(tuple(itertools.accumulate(hist)))
+            keys.append(key)
     if first:
         i, j = first
         if i >= j:
@@ -288,7 +286,7 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
         raise DomainError(f"value at least {n + 1 - i} appears above row {i}"
                           if rotated else f"value at most {i} appears below row {i}")
 
-    pattern = _recover(tuple(counts), n)
+    pattern = _recover(tuple(keys), starts, n)
     if pattern is None:
         raise DomainError("filling is not semistandard enough to invert")
     try:
@@ -301,10 +299,13 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
 
 
 @lru_cache(maxsize=256)
-def _recover(counts: tuple, n: int):
-    """The pattern of size n with x(i, j) = counts[j-1][i-1], rows past
-    the last of `counts` counting 0, or None unless it interlaces."""
-    counts += ((0,) * n,) * (n - len(counts))
+def _recover(keys: tuple, starts: tuple, n: int):
+    """The pattern of size n whose x(i, j) counts the keys at most i of
+    pattern row j, keys[starts[j-1]:starts[j]] (none past the last row), or
+    None unless it interlaces; cached on the keys, so counted on a miss."""
+    counts = [tuple(itertools.accumulate(map(keys[a:b].count, range(1, n + 1))))
+              for a, b in zip(starts, starts[1:])]
+    counts += [(0,) * n] * (n - len(counts))
     pattern = GTPattern._trusted(tuple(row[:i] for i, row in enumerate(zip(*counts), start=1)))
     return pattern if validate(pattern) else None
 

@@ -5,14 +5,15 @@ set-valued tableaux of straight shape (`coeff_buch`) and counting
 dominant set-valued fillings of the rotated shape (`coeff_contra`).
 `gamma` maps a witness of the first kind to one of the second and
 `gamma_inverse` goes back, both returning a full trace of every
-intermediate object so a run can be checked line by line.
+intermediate object so a run can be checked line by line; their count
+triangles N and N_up sum the rows of one `_copy_table` per pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
-from operator import add
+from operator import add, itemgetter, sub
 
 from . import grothendieck
 from .errors import DegreeError, DomainError, InternalInvariantError
@@ -41,11 +42,9 @@ class CoefficientQuery:
         object.__setattr__(self, "lam", Partition(self.lam))
         object.__setattr__(self, "mu", Partition(self.mu))
         object.__setattr__(self, "nu", Partition(self.nu))
-        n = self.n
-        if n is None:
-            n = max(len(self.lam), len(self.mu), len(self.nu))
-        object.__setattr__(self, "n", int(n))
-        if max(len(self.lam), len(self.mu), len(self.nu)) > self.n:
+        longest = max(len(self.lam), len(self.mu), len(self.nu))
+        object.__setattr__(self, "n", longest if self.n is None else int(self.n))
+        if longest > self.n:
             raise DomainError(f"n={self.n} smaller than a partition length")
 
     @property
@@ -165,33 +164,38 @@ class GammaTrace:
     column_ops: tuple = None
 
 
-def _copies(marked: MarkedGTPattern, i: int, j: int) -> int:
-    """Copies of pass label i in pattern row j of the filling `marked`
-    expands to: the cells pass i adds to row j, plus one for a mark (i, j)."""
-    rows = marked.pattern  # the tuple of its rows
-    before = rows[i - 2][j - 1] if j < i else 0
-    return rows[i - 1][j - 1] - before + ((i, j) in marked.marks)
+def _copy_table(marked: MarkedGTPattern) -> list:
+    """table[i-1][j-1], j <= i: the copies of pass label i in pattern row j
+    of `marked`'s filling, x(i, j) - x(i-1, j) plus one for a mark (i, j)."""
+    pattern, marks = marked
+    table = [list(map(sub, row, above + (0,))) for row, above in zip(pattern, ((),) + pattern)]
+    for (i, j) in marks:
+        table[i - 1][j - 1] += 1
+    return table
 
 
 def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight: bool):
     """Raise `error` unless `filling` is a witness of `q`: on the straight
     side a lam-dominant filling of shape mu with weight nu - lam, on the
-    rotated side a mu-dominant filling of rotated lam with weight nu - mu."""
-    sub, shape, target = _side(q, straight)
-    if target is None:
+    rotated side a mu-dominant filling of rotated lam with weight nu - mu.
+    Only a refusal builds `_side`, for its text."""
+    base = q.lam if straight else q.mu
+    want = tuple(map(sub, q.nu.pad(q.n), base.pad(q.n)))  # nu - base, n entries
+    if min(want, default=0) < 0:
         raise error(f"nu - {'lam' if straight else 'mu'} has a negative entry")
-    if filling.shape != shape:
-        raise error(f"{what}: shape {filling.shape!r} != {shape!r}")
+    # a shape is the pair (outer, inner), so (mu, ()) is skew(mu, ())
+    if filling.shape != ((q.mu, ()) if straight else rotate(q.lam)):
+        raise error(f"{what}: shape {filling.shape!r} != {_side(q, straight)[1]!r}")
     if not is_semistandard(filling):
         raise error(f"{what}: not semistandard")
     try:
         got = weight(filling, q.n)
     except ValueError:
         raise error(f"{what}: entries exceed n={q.n}") from None
-    if got != target + (0,) * (q.n - len(target)):
-        raise error(f"{what}: weight {got} != {target}")
-    if not is_lambda_dominant(filling, sub):
-        raise error(f"{what}: not {tuple(sub)}-dominant")
+    if got != want:
+        raise error(f"{what}: weight {got} != {_side(q, straight)[2]}")
+    if not is_lambda_dominant(filling, base):
+        raise error(f"{what}: not {tuple(base)}-dominant")
 
 
 def _marked_pattern(rows: tuple, marks, what: str, expand) -> tuple:
@@ -207,8 +211,7 @@ def _marked_pattern(rows: tuple, marks, what: str, expand) -> tuple:
     try:
         return marked, expand(marked)
     except DomainError as exc:
-        raise InternalInvariantError(
-            f"{what} pattern invalid: pattern inequalities fail") from exc
+        raise InternalInvariantError(f"{what} pattern invalid: pattern inequalities fail") from exc
 
 
 def gamma(tableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
@@ -227,21 +230,17 @@ def _gamma(tableau: SetValuedFilling, q: CoefficientQuery) -> GammaTrace:
     n = q.n
     marked = upsilon_inverse(tableau, n)
     # row i: lam_i, then plus the copies of i in the top k rows, k = 1..i
-    counts = tuple(
-        tuple(accumulate((_copies(marked, i, k) for k in range(1, i + 1)),
-                         initial=q.lam[i - 1]))
-        for i in range(1, n + 1))
-    y_rows = tuple(
-        tuple(counts[n - i + j - 1][n - i] for j in range(1, i + 1))
-        for i in range(1, n + 1))
+    counts = tuple(tuple(accumulate(row, initial=part))
+                   for row, part in zip(_copy_table(marked), q.lam.pad(n)))
+    # row i: entry n-i of counts rows n-i+1 .. n
+    y_rows = tuple(tuple(map(itemgetter(c), counts[c:])) for c in range(n - 1, -1, -1))
     contra, image = _marked_pattern(
         y_rows, ((n + 1 - j, i - j) for (i, j) in marked.marks), "relabelled", omega)
     _require_witness(image, q, "image", InternalInvariantError, straight=False)
     return GammaTrace(
-        direction="gamma", query=q, tableau=tableau,
+        direction="gamma", query=q, tableau=tableau, prefix_counts=counts,
         tableau_pattern=marked.pattern, tableau_marks=marked.marks,
-        contra_pattern=contra.pattern, contra_marks=contra.marks,
-        contratableau=image, prefix_counts=counts)
+        contra_pattern=contra.pattern, contra_marks=contra.marks, contratableau=image)
 
 
 def gamma_inverse(contratableau: SetValuedFilling, query: CoefficientQuery) -> GammaTrace:
@@ -270,14 +269,12 @@ def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> Gamm
     z = marked.pattern
 
     # row i: nu_1 + ... + nu_{n-i}, then plus each entry of row i of z
-    cumulative = tuple(
-        tuple(accumulate(z.rows[i - 1] if i else (), initial=sum(q.nu[:n - i])))
-        for i in range(n + 1))
+    nu_sums = tuple(accumulate(q.nu.pad(n), initial=0))
+    cumulative = ((nu_sums[n],),) + tuple(
+        tuple(accumulate(row, initial=nu_sums[n - i])) for i, row in enumerate(z, start=1))
 
-    slack = tuple(
-        tuple(cumulative[n - j][i - j] - cumulative[n - j + 1][i - j + 1]
-              for j in range(1, i + 1))
-        for i in range(1, n + 1))
+    slack = tuple(tuple(cumulative[n - j][i - j] - cumulative[n - j + 1][i - j + 1]
+                        for j in range(1, i + 1)) for i in range(1, n + 1))
 
     # mark order: (i, j) before (i', j') iff i > i', then smaller j first
     ops = tuple((n + 1 - i + j, n + 1 - i)
@@ -290,22 +287,17 @@ def _gamma_inverse(contratableau: SetValuedFilling, q: CoefficientQuery) -> Gamm
     # each column operation's position is a mark of the straight pattern
     straight, tableau = _marked_pattern(tuple(tuple(row) for row in grid), ops,
                                         "decremented", upsilon)
-    bottom = straight.pattern.rows[-1] if n else ()
+    bottom = straight.pattern[-1] if n else ()
     if Partition(bottom) != q.mu:
-        raise InternalInvariantError(
-            f"decremented pattern invalid: bottom row {bottom} != {q.mu}")
+        raise InternalInvariantError(f"decremented pattern invalid: bottom row {bottom} != {q.mu}")
 
     # row i: mu_i plus the copies of i, pass label n+1-i, in bottom rows
     # k..n+1-i for k = 1..n+1-i; summed from row n+1-i down, then reversed
-    suffix = tuple(
-        tuple(accumulate((_copies(marked, n + 1 - i, k) for k in range(n + 1 - i, 0, -1)),
-                         initial=q.mu[i - 1]))[:0:-1]
-        for i in range(1, n + 1))
+    suffix = tuple(tuple(accumulate(reversed(row), initial=part))[:0:-1]
+                   for part, row in zip(q.mu.pad(n), _copy_table(marked)[::-1]))
 
     return GammaTrace(
         direction="gamma_inverse", query=q, tableau=tableau,
         tableau_pattern=straight.pattern, tableau_marks=straight.marks,
-        contra_pattern=z, contra_marks=marked.marks,
-        contratableau=contratableau,
-        suffix_counts=suffix,
-        cumulative_rows=cumulative, slack_rows=slack, column_ops=ops)
+        contra_pattern=z, contra_marks=marked.marks, contratableau=contratableau,
+        suffix_counts=suffix, cumulative_rows=cumulative, slack_rows=slack, column_ops=ops)

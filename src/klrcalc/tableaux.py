@@ -131,8 +131,9 @@ def weight(filling: SetValuedFilling, n=None) -> tuple:
     if top > len(counts):
         raise ValueError(f"entry {top} exceeds requested length {n}")
     for m in masks:
-        for v in _mask_set(m):
-            counts[v - 1] += 1
+        while m:
+            counts[(m & -m).bit_length() - 1] += 1
+            m &= m - 1
     return tuple(counts)
 
 
@@ -176,15 +177,21 @@ def superstandard(lam) -> SetValuedFilling:
     return SetValuedFilling(shape, {(r, c): (r,) for (r, c) in shape.cells()})
 
 
-@lru_cache(maxsize=1024)
-def _seed_word(lam) -> tuple:
-    """Row word of superstandard(lam), built once per partition."""
-    return row_word(superstandard(lam))
-
-
 def is_lambda_dominant(filling: SetValuedFilling, lam) -> bool:
-    """The row word, prefixed by the row word of superstandard(lam), is dominant."""
-    return is_dominant(_seed_word(Partition(lam)) + row_word(filling))
+    """The row word, prefixed by the row word of superstandard(lam), is dominant.
+    That prefix is dominant and leaves lam_i copies of each i, so presetting
+    the counts to lam reads it; the filling's row word is read off its masks."""
+    masks = filling.masks
+    counts = [0, *Partition(lam)] + [0] * max(masks, default=0).bit_length()
+    for s in _layout(filling.shape)[3]:
+        for m in reversed(masks[s]):
+            while m:
+                v = m.bit_length()
+                m ^= 1 << v - 1
+                counts[v] += 1
+                if v > 1 and counts[v] > counts[v - 1]:
+                    return False
+    return True
 
 
 @lru_cache(maxsize=4096)

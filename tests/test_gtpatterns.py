@@ -590,7 +590,8 @@ def test_recovered_invalid_pattern_is_refused_alike_on_a_hit(cold_caches):
         assert str(info.value) == "filling is not semistandard enough to invert"
     info = gtpatterns._recover.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert gtpatterns._recover(((1, 2), (0, 2)), 2) is None
+    # keys (1, 2) in row 1 and (2, 2) in row 2 count (1, 2) and (0, 2)
+    assert gtpatterns._recover((1, 2, 2, 2), (0, 2, 4), 2) is None
 
 
 def test_recovered_pattern_is_keyed_on_n(cold_caches):

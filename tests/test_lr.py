@@ -253,11 +253,31 @@ def test_check_rules_sees_a_broken_gamma(monkeypatch, image_of_t2, detail):
     ((1,), (2,), (2, 1), [[{2}, {1}]], "input: not semistandard"),
     ((1,), (2,), (2, 1), [[{1}, {4}]], "input: entries exceed n=3"),
     ((2,), (1,), (1, 1), [[{1}]], "nu - lam has a negative entry"),
+    ((1,), (2,), (2, 1), [[{1}], [{2}]], "input: shape SkewShape((1, 1)/()) != SkewShape((2,)/())"),
+    ((1,), (2,), (2, 1), [[{1}, {1}]], "input: weight (2, 0, 0) != (1, 1)"),
+    ((1,), (2,), (1, 1, 1), [[{2}, {3}]], "input: not (1,)-dominant"),
 ])
 def test_gamma_names_the_failed_input_check(lam, mu, nu, rows, detail):
-    tableau = SetValuedFilling.from_rows(skew(mu), rows)
+    # the tableau has the straight shape of its row lengths
+    tableau = SetValuedFilling.from_rows(skew(tuple(map(len, rows))), rows)
     with pytest.raises(DomainError) as info:
         gamma(tableau, CoefficientQuery(lam, mu, nu, 3))
+    assert str(info.value) == detail
+
+
+@pytest.mark.parametrize("lam, mu, nu, rows, detail", [
+    ((2,), (1,), (2, 1), [[{2}, {1}]], "input: not semistandard"),
+    ((2,), (1,), (2, 1), [[{1}, {4}]], "input: entries exceed n=3"),
+    ((1,), (2,), (1, 1), [[{1}]], "nu - mu has a negative entry"),
+    ((1,), (1,), (2, 1), [[{1}, {2}]], "input: shape RotatedShape((2,)) != RotatedShape((1,))"),
+    ((2,), (1,), (2, 1), [[{1}, {1}]], "input: weight (2, 0, 0) != (1, 1)"),
+    ((2,), (1,), (1, 1, 1), [[{2}, {3}]], "input: not (1,)-dominant"),
+])
+def test_gamma_inverse_names_the_failed_input_check(lam, mu, nu, rows, detail):
+    # the contratableau has the rotated shape of its row lengths, bottom up
+    contratableau = SetValuedFilling.from_rows(rotate(tuple(map(len, rows[::-1]))), rows)
+    with pytest.raises(DomainError) as info:
+        gamma_inverse(contratableau, CoefficientQuery(lam, mu, nu, 3))
     assert str(info.value) == detail
 
 

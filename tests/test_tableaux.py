@@ -85,6 +85,30 @@ def test_lambda_dominance_examples():
     assert is_lambda_dominant(empty, (5, 2))
 
 
+def test_lambda_dominance_reads_the_seed_word_first():
+    # is_lambda_dominant presets its counts to lam; that must be the
+    # definition, the seed word of superstandard(lam) read before the
+    # filling's: on every semistandard filling of the straight and rotated
+    # shapes of <= 4 cells with entries <= 4, and on every assignment of
+    # subsets of {1, 2, 3} to those of <= 3 cells, semistandard or not
+    shapes = [make(lam) for lam in partitions_up_to(4) for make in (skew, rotate)]
+    fillings = [f for shape in shapes for f in enumerate_svt(shape, 4)]
+    subsets = [s for k in (1, 2, 3) for s in itertools.combinations((1, 2, 3), k)]
+    for shape in shapes:
+        cells = shape.cells()
+        if len(cells) <= 3:
+            fillings += [SetValuedFilling(shape, dict(zip(cells, sets)))
+                         for sets in itertools.product(subsets, repeat=len(cells))]
+    kept = 0
+    for lam in partitions_up_to(3):
+        seed = row_word(superstandard(lam))
+        for f in fillings:
+            got = is_lambda_dominant(f, lam)
+            assert got == is_dominant(seed + row_word(f)), (f, lam)
+            kept += got
+    assert (len(fillings), kept) == (2440 + 2270, 4342)
+
+
 def test_enumerate_single_cell():
     fillings = list(enumerate_svt(skew((1,)), 2))
     assert [sorted(f.entries[(1, 1)]) for f in fillings] == [[1], [2], [1, 2]]
