@@ -338,6 +338,38 @@ PY
   test "$got" = 24eceb83bd058bc5e7902bd2726321c3e4eaafef396964319641eff875dcfa60
 }
 
+gamma_refusals() {
+  # gamma and gamma-inv at n = 3 refuse an input that is no witness with
+  # exit 3 and one line naming the first check it fails: one input per
+  # check, in check order, then two inputs that fail two checks at once
+  bad() {  # bad DIRECTION "LAMBDA MU NU" FILLING MESSAGE
+    echo "$3" | refused 3 "domain error: $4" \
+      python -m klrcalc bijection --direction "$1" $2 --n 3
+  }
+  q='--lambda 1 --mu 2 --nu 2,1'
+  bad gamma '--lambda 2 --mu 1 --nu 1,1' '{"outer":[1],"rows":[[[1]]]}' 'nu - lam has a negative entry'
+  bad gamma "$q" '{"outer":[1,1],"rows":[[[1]],[[2]]]}' \
+    'input: shape SkewShape((1, 1)/()) != SkewShape((2,)/())'
+  bad gamma "$q" '{"outer":[2],"rows":[[[2],[1]]]}' 'input: not semistandard'
+  bad gamma "$q" '{"outer":[2],"rows":[[[1],[4]]]}' 'input: entries exceed n=3'
+  bad gamma "$q" '{"outer":[2],"rows":[[[1],[1]]]}' 'input: weight (2, 0, 0) != (1, 1)'
+  bad gamma '--lambda 1 --mu 2 --nu 1,1,1' '{"outer":[2],"rows":[[[2],[3]]]}' 'input: not (1,)-dominant'
+  q='--lambda 2 --mu 1 --nu 2,1'
+  bad gamma-inv '--lambda 1 --mu 2 --nu 1,1' '{"rotated_of":[1],"rows":[[[1]]]}' \
+    'nu - mu has a negative entry'
+  bad gamma-inv '--lambda 1 --mu 1 --nu 2,1' '{"rotated_of":[2],"rows":[[[1],[2]]]}' \
+    'input: shape RotatedShape((2,)) != RotatedShape((1,))'
+  bad gamma-inv "$q" '{"rotated_of":[2],"rows":[[[2],[1]]]}' 'input: not semistandard'
+  bad gamma-inv "$q" '{"rotated_of":[2],"rows":[[[1],[4]]]}' 'input: entries exceed n=3'
+  bad gamma-inv "$q" '{"rotated_of":[2],"rows":[[[1],[1]]]}' 'input: weight (2, 0, 0) != (1, 1)'
+  bad gamma-inv '--lambda 2 --mu 1 --nu 1,1,1' '{"rotated_of":[2],"rows":[[[2],[3]]]}' \
+    'input: not (1,)-dominant'
+  # not semistandard, and an entry above n
+  bad gamma '--lambda 1 --mu 2 --nu 2,1' '{"outer":[2],"rows":[[[4],[1]]]}' 'input: not semistandard'
+  # the wrong weight, and not (1,)-dominant
+  bad gamma-inv "$q" '{"rotated_of":[2],"rows":[[[2],[2]]]}' 'input: weight (0, 2, 0) != (1, 1)'
+}
+
 selfcheck() {
   # the digests cover every certificate and verify line the four
   # workloads print; they are the same on Python 3.10 and 3.11
@@ -354,7 +386,7 @@ for pin in cli_smoke usage_errors pooled_verify pooled_verify_size_4 bijection_r
            long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
            public_expansions oracle_products oracle_products_any_order small_n_skew_polys \
            pruned_witness_search unweighted_witness_streams gamma_certificates \
-           gamma_traces selfcheck; do
+           gamma_traces gamma_refusals selfcheck; do
   (set -e; "$pin") > "$tmp/pin.log" 2>&1
   if [ $? = 0 ]; then
     echo "pass $pin"

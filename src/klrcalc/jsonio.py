@@ -13,12 +13,12 @@ from .grothendieck import BasisExpansion
 from .gtpatterns import GTPattern, MarkedGTPattern
 from .lr import GammaTrace
 from .shapes import RotatedShape, rotate, skew
-from .tableaux import SetValuedFilling
+from .tableaux import SetValuedFilling, _layout, _values
 
 
 def filling_obj(filling: SetValuedFilling) -> dict:
     obj = {"outer": list(filling.shape.outer), "inner": list(filling.shape.inner),
-           "rows": [[sorted(vals) for vals in row] for row in filling.rows()]}
+           "rows": [list(map(_values, filling.masks[s])) for s in _layout(filling.shape)[3]]}
     if isinstance(filling.shape, RotatedShape):
         obj["rotated_of"] = list(filling.shape.lam)
     return obj

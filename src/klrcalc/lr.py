@@ -12,7 +12,7 @@ triangles N and N_up sum the rows of one `_copy_table` per pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate, starmap, zip_longest
 from operator import add, itemgetter, sub
 
 from . import grothendieck
@@ -20,7 +20,7 @@ from .errors import DegreeError, DomainError, InternalInvariantError
 from .gtpatterns import (GTPattern, MarkedGTPattern, check_marks, omega,
                          omega_inverse, upsilon, upsilon_inverse)
 from .shapes import Partition, rotate, skew
-from .tableaux import (SetValuedFilling, enumerate_svt, is_lambda_dominant,
+from .tableaux import (SetValuedFilling, _layout, enumerate_svt, is_lambda_dominant,
                        is_semistandard, weight)
 
 
@@ -105,16 +105,17 @@ def witness_lists(lam, mu, n: int) -> dict:
     `contra_tableaux` yield for `CoefficientQuery(lam, mu, nu, n)`, in the
     same order.  A filling f files under nu = sub + weight(f), sub being
     lam on the straight side and mu on the rotated one; nu is a partition
-    because f is sub-dominant.  A nu with no witness has no key.
+    because f is sub-dominant, so the key is built unchecked.  A nu with
+    no witness has no key.
     """
     lam, mu, n = Partition(lam), Partition(mu), int(n)
     if max(len(lam), len(mu)) > n:
         raise DomainError(f"n={n} smaller than a partition length")
     lists = {}
     for side, (sub, shape) in enumerate(((lam, skew(mu, ())), (mu, rotate(lam)))):
-        pad = sub.pad(n)
         for f in enumerate_svt(shape, n, dominant_for=sub):
-            nu = Partition(map(add, pad, weight(f, n)))
+            # no trailing zero: sub has none, and weight(f) ends at f's top entry
+            nu = Partition._trusted(starmap(add, zip_longest(sub, weight(f), fillvalue=0)))
             lists.setdefault(nu, ([], []))[side].append(f)
     return lists
 
@@ -178,24 +179,51 @@ def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight
     """Raise `error` unless `filling` is a witness of `q`: on the straight
     side a lam-dominant filling of shape mu with weight nu - lam, on the
     rotated side a mu-dominant filling of rotated lam with weight nu - mu.
-    Only a refusal builds `_side`, for its text."""
+    A witness passes in `_is_witness`'s one scan of its masks; only a
+    refusal runs the checks one by one, in order, to word the message."""
     base = q.lam if straight else q.mu
-    want = tuple(map(sub, q.nu.pad(q.n), base.pad(q.n)))  # nu - base, n entries
-    if min(want, default=0) < 0:
-        raise error(f"nu - {'lam' if straight else 'mu'} has a negative entry")
     # a shape is the pair (outer, inner), so (mu, ()) is skew(mu, ())
-    if filling.shape != ((q.mu, ()) if straight else rotate(q.lam)):
-        raise error(f"{what}: shape {filling.shape!r} != {_side(q, straight)[1]!r}")
+    shape_ok = filling.shape == ((q.mu, ()) if straight else rotate(q.lam))
+    if shape_ok and _is_witness(filling, base, q.nu, q.n):
+        return
+    _, shape, target = _side(q, straight)  # target: nu - base, unpadded
+    if target is None:
+        raise error(f"nu - {'lam' if straight else 'mu'} has a negative entry")
+    if not shape_ok:
+        raise error(f"{what}: shape {filling.shape!r} != {shape!r}")
     if not is_semistandard(filling):
         raise error(f"{what}: not semistandard")
     try:
         got = weight(filling, q.n)
     except ValueError:
         raise error(f"{what}: entries exceed n={q.n}") from None
-    if got != want:
-        raise error(f"{what}: weight {got} != {_side(q, straight)[2]}")
+    if got != target + (0,) * (q.n - len(target)):
+        raise error(f"{what}: weight {got} != {target}")
     if not is_lambda_dominant(filling, base):
         raise error(f"{what}: not {tuple(base)}-dominant")
+
+
+def _is_witness(filling, base, nu, n: int) -> bool:
+    """One scan of the masks in row-word order: each cell against its left
+    and upper neighbour (semistandard), its top entry at most n, and the
+    counts, preset to base, dominant after every entry and nu at the end."""
+    masks = filling.masks
+    _, left, up, rows = _layout(filling.shape)
+    counts = [0, *base, *(0,) * (n - len(base))]
+    for s in rows:
+        for i in range(s.stop - 1, s.start - 1, -1):
+            m, li, ui = masks[i], left[i], up[i]
+            low = (m & -m).bit_length()  # the smallest value of the cell
+            if m.bit_length() > n or li is not None and masks[li].bit_length() > low \
+                    or ui is not None and masks[ui].bit_length() >= low:
+                return False
+            while m:
+                v = m.bit_length()
+                m ^= 1 << v - 1
+                counts[v] += 1
+                if v > 1 and counts[v] > counts[v - 1]:
+                    return False
+    return counts == [0, *nu, *(0,) * (n - len(nu))]
 
 
 def _marked_pattern(rows: tuple, marks, what: str, expand) -> tuple:

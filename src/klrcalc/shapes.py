@@ -40,6 +40,8 @@ class Partition(tuple):
             parts = parts[:-1]
         return tuple.__new__(cls, parts)
 
+    _trusted = classmethod(tuple.__new__)  # unchecked: positive parts, weakly decreasing
+
     @property
     def parts(self) -> tuple:
         return tuple(self)

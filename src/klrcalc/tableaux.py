@@ -73,11 +73,11 @@ class SetValuedFilling:
     @property
     def entries(self) -> dict:
         """{(row, col): frozenset of values}, in `shape.cells()` order."""
-        return dict(zip(_layout(self.shape)[0], map(_mask_set, self.masks)))
+        return dict(zip(_layout(self.shape)[0], map(frozenset, map(_values, self.masks))))
 
     def rows(self) -> list:
         """Entry sets row by row, top to bottom, left to right."""
-        return [[_mask_set(m) for m in self.masks[s]] for s in _layout(self.shape)[3]]
+        return [[frozenset(_values(m)) for m in self.masks[s]] for s in _layout(self.shape)[3]]
 
     def num_cells(self) -> int:
         return len(self.masks)
@@ -92,9 +92,8 @@ class SetValuedFilling:
         return hash(self.masks)
 
     def __repr__(self):
-        body = "; ".join(
-            ",".join("".join(str(v) for v in sorted(vals)) for vals in row)
-            for row in self.rows())
+        body = "; ".join(",".join("".join(map(str, _values(m))) for m in self.masks[s])
+                         for s in _layout(self.shape)[3])
         return f"<filling {self.shape!r} [{body}]>"
 
 
@@ -147,7 +146,7 @@ def column_word(filling: SetValuedFilling) -> tuple:
     cells = _layout(filling.shape)[0]
     word = []
     for i in sorted(range(len(cells)), key=lambda i: (-cells[i][1], cells[i][0])):
-        word.extend(sorted(_mask_set(filling.masks[i]), reverse=True))
+        word.extend(_values(filling.masks[i])[::-1])
     return tuple(word)
 
 
@@ -157,7 +156,7 @@ def row_word(filling: SetValuedFilling) -> tuple:
     word = []
     for s in _layout(filling.shape)[3]:
         for m in reversed(masks[s]):
-            word.extend(sorted(_mask_set(m), reverse=True))
+            word.extend(_values(m)[::-1])
     return tuple(word)
 
 
@@ -194,10 +193,14 @@ def is_lambda_dominant(filling: SetValuedFilling, lam) -> bool:
     return True
 
 
-@lru_cache(maxsize=4096)
-def _mask_set(mask: int) -> frozenset:
-    """The values whose bits are set in `mask` (value v is bit v-1)."""
-    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+def _values(mask: int) -> list:
+    """The values whose bits are set in `mask` (value v is bit v-1), increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 def enumerate_svt(shape: SkewShape, n: int, weight_filter=None, singleton=False,
@@ -397,13 +400,14 @@ def _plan(shape: SkewShape, w: int) -> tuple:
     whose span holds v (k = 0 .. the number of rows).
     """
     cells, left, up, _ = _layout(shape)
-    outer, inner = shape.outer, shape.inner
+    # column c holds rows #(inner parts >= c) + 1 .. #(outer parts >= c)
+    outer_h, inner_h = ([sum(p >= c for p in parts) for c in range(shape.outer[0] + 1)]
+                        for parts in shape)
     row_start, span, row_of = [], [], []
     upto = [[0] * (w + 1)]
     for i, (r, c) in enumerate(cells):
-        # column c holds rows #(inner parts >= c) + 1 .. #(outer parts >= c)
-        above = r - 1 - sum(p >= c for p in inner)
-        top = w - sum(p >= c for p in outer[r:])
+        above = r - 1 - inner_h[c]
+        top = w - outer_h[c] + r
         span.append(((1 << top) - 1) >> above << above if top > above else 0)
         row_start.append(i == 0 or r != cells[i - 1][0])
         if row_start[-1]:

@@ -1,16 +1,19 @@
+import itertools
 import sys
 from dataclasses import replace
+from operator import sub
 
 import pytest
 
 import worked_examples as wx
 from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
-                     InternalInvariantError, Partition, SetValuedFilling,
+                     InternalInvariantError, Partition, SetValuedFilling, SkewShape,
                      buch_tableaux, coeff_buch, coeff_classical, coeff_contra,
                      coeff_oracle, contra_tableaux, enumerate_svt, gamma,
-                     gamma_inverse, is_lambda_dominant, omega,
+                     gamma_inverse, is_lambda_dominant, is_semistandard, omega,
                      partitions_up_to, rotate, skew, total_entries, upsilon,
                      upsilon_inverse, weight, witness_lists)
+from klrcalc.errors import KLRError
 from klrcalc import grothendieck, gtpatterns, lr, verify
 
 
@@ -281,6 +284,83 @@ def test_gamma_inverse_names_the_failed_input_check(lam, mu, nu, rows, detail):
     assert str(info.value) == detail
 
 
+def _checks_one_by_one(filling, q, what, error, *, straight):
+    """The witness checks of `lr._require_witness`, each run on its own in
+    their order: the reference its one scan must agree with."""
+    base = q.lam if straight else q.mu
+    target = tuple(a - b for a, b in itertools.zip_longest(q.nu, base, fillvalue=0))
+    if min(target, default=0) < 0:
+        raise error(f"nu - {'lam' if straight else 'mu'} has a negative entry")
+    shape = skew(q.mu) if straight else rotate(q.lam)
+    if filling.shape != shape:
+        raise error(f"{what}: shape {filling.shape!r} != {shape!r}")
+    if not is_semistandard(filling):
+        raise error(f"{what}: not semistandard")
+    try:
+        got = weight(filling, q.n)
+    except ValueError:
+        raise error(f"{what}: entries exceed n={q.n}") from None
+    if got != tuple(map(sub, q.nu.pad(q.n), base.pad(q.n))):
+        raise error(f"{what}: weight {got} != {target}")
+    if not is_lambda_dominant(filling, base):
+        raise error(f"{what}: not {tuple(base)}-dominant")
+
+
+def _outcome(check, filling, q, straight):
+    try:
+        check(filling, q, "input", DomainError, straight=straight)
+    except KLRError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_CHECKS = ("negative", "shape", "semistandard", "exceed", "weight", "dominant")
+
+
+def test_one_scan_witness_check_matches_the_checks_one_by_one():
+    # every filling with entries <= n + 1, semistandard or not, of the
+    # straight shape mu and the rotated shape of lam, |lam|, |mu| <= 3,
+    # n <= 3, on both sides, so wrong shapes are refused too: accepted or
+    # refused alike, with the same error and text.  At n <= 2 a filling of
+    # <= 2 cells meets every nu up to |lam| + |mu| + 2; elsewhere only the
+    # nu of size |base| + |f|, as any other size fails on its sum in both.
+    # 3-cell shapes at n = 3 (3,375 fillings each) are left out for time
+    seen = {}
+    for n in (1, 2, 3):
+        for lam in partitions_up_to(3, max_length=n):
+            for mu in partitions_up_to(3, max_length=n):
+                by_size = {}
+                for nu in partitions_up_to(lam.size() + mu.size() + 2, max_length=n):
+                    by_size.setdefault(nu.size(), []).append(CoefficientQuery(lam, mu, nu, n))
+                every = [q for qs in by_size.values() for q in qs]
+                for shape in (skew(mu), rotate(lam)):
+                    cells = shape.num_cells()
+                    if n == 3 and cells == 3:
+                        continue
+                    for masks in itertools.product(range(1, 1 << n + 1), repeat=cells):
+                        f = SetValuedFilling._trusted(shape, masks)
+                        failed = ((not is_semistandard(f)) + (max(masks, default=0) >> n > 0)
+                                  + (not is_lambda_dominant(f, lam)))
+                        seen["failing twice"] = seen.get("failing twice", 0) + (failed >= 2)
+                        for straight in (True, False):
+                            base = lam if straight else mu
+                            own = shape == (skew(mu) if straight else rotate(lam))
+                            for q in every if n < 3 and cells < 3 else \
+                                    by_size.get(base.size() + total_entries(f), ()):
+                                got = _outcome(lr._require_witness, f, q, straight)
+                                assert got == _outcome(_checks_one_by_one, f, q, straight), \
+                                    (f, q, straight)
+                                # the scan alone: a refusal it got wrong would
+                                # still end in the checks one by one
+                                assert not own or lr._is_witness(f, base, q.nu, n) == (
+                                    got is None), (f, q, straight)
+                                kind = "accepted" if got is None else next(
+                                    k for k in _CHECKS if k in got[1])
+                                seen[kind] = seen.get(kind, 0) + 1
+    assert seen == {"accepted": 402, "negative": 20128, "shape": 38268, "semistandard": 46716,
+                    "exceed": 8858, "weight": 3114, "dominant": 176, "failing twice": 14610}
+
+
 def test_column_ops_commute():
     # the decrement operators touch disjoint entries or plain subtract,
     # so applying them in reverse order gives the same pattern
@@ -375,6 +455,38 @@ def test_witness_lists_lookup_matches_per_nu_lists():
     assert negative > 800 and witnesses > 350 and above > 0
     with pytest.raises(DomainError):
         witness_lists((1, 1), (1,), 1)
+
+
+def test_witness_lists_keys_are_the_validated_partitions():
+    # the keys are built unchecked; each is the partition the validating
+    # constructor gives for its fillings, with no trailing zero
+    keys = 0
+    for lam in partitions_up_to(4, max_length=4):
+        for mu in partitions_up_to(4, max_length=4):
+            for nu, sides in witness_lists(lam, mu, 4).items():
+                assert type(nu) is Partition and nu[-1:] != (0,), nu
+                for sub, fillings in zip((lam, mu), sides):
+                    for f in fillings:
+                        assert nu == Partition(
+                            a + b for a, b in zip(sub.pad(4), weight(f, 4))), (lam, mu, f)
+                keys += 1
+    assert keys == 837
+
+
+def test_check_rules_reports_a_non_partition_nu(monkeypatch):
+    # a search that yields a filling that is not dominant files it under a
+    # nu that is no partition, (1, 0, 1) here; the sweep reports the rules
+    # disagreeing there instead of raising
+    real = lr.enumerate_svt
+
+    def leaky(shape, n, **kwargs):
+        yield from real(shape, n, **kwargs)
+        if shape.__class__ is SkewShape:  # the straight side only
+            yield SetValuedFilling(shape, {(1, 1): {3}})
+
+    monkeypatch.setattr(lr, "enumerate_svt", leaky)
+    assert verify.check_rules((1,), (1,), 3) == (
+        "rules disagree at ((1,), (1,), (1, 0, 1)): buch=1 contra=0 oracle=0")
 
 
 def test_vanishing_against_enumeration():

@@ -343,6 +343,36 @@ def test_search_plan_is_built_once_per_shape_and_width(cold_caches):
     assert (info.misses, info.hits) == (2, 2)
 
 
+def test_search_plan_tables_match_their_cell_by_cell_definitions():
+    # each of `_plan`'s eight tables against its definition read cell by
+    # cell off the shape, for every skew shape of <= 6 cells whose outer
+    # shape has <= 8 cells, and every w <= 5
+    shapes = {skew(outer, inner) for outer in partitions_up_to(8)
+              for inner in partitions_up_to(outer.size())
+              if contains(inner, outer) and outer.size() - inner.size() <= 6}
+    for shape in shapes:
+        cells = shape.cells()
+        index = {cell: i for i, cell in enumerate(cells)}
+        rows = sorted({r for r, _ in cells})
+        for w in range(6):
+            span = []
+            for r, c in cells:
+                above = sum((rr, c) in index for rr in range(1, r))
+                below = sum((rr, c) in index for rr in range(r + 1, shape.num_rows + 1))
+                span.append(sum(1 << v - 1 for v in range(above + 1, w - below + 1)))
+            cap = tuple(tuple(len({c for (_, c), s in zip(cells[i:], span[i:]) if s >> v - 1 & 1})
+                              if v else 0 for v in range(w + 1)) for i in range(len(cells) + 1))
+            upto = tuple(tuple(sum(1 for (r, _), s in zip(cells, span)
+                                   if r in rows[:k] and v and s >> v - 1 & 1)
+                               for v in range(w + 1)) for k in range(len(rows) + 1))
+            assert tableaux._plan.__wrapped__(shape, w) == (
+                tuple(cells), tuple(index.get((r, c - 1)) for r, c in cells),
+                tuple(index.get((r - 1, c)) for r, c in cells),
+                tuple(i == 0 or cells[i - 1][0] != r for i, (r, _) in enumerate(cells)),
+                tuple(span), cap, tuple(rows.index(r) for r, _ in cells), upto), (shape, w)
+    assert len(shapes) == 803
+
+
 def test_entries_above_the_bound_are_refused():
     top = tableaux.MAX_ENTRY
     assert weight(SetValuedFilling(skew((1,)), {(1, 1): {top}})) == (0,) * (top - 1) + (1,)
