@@ -368,6 +368,17 @@ gamma_refusals() {
   bad gamma '--lambda 1 --mu 2 --nu 2,1' '{"outer":[2],"rows":[[[4],[1]]]}' 'input: not semistandard'
   # the wrong weight, and not (1,)-dominant
   bad gamma-inv "$q" '{"rotated_of":[2],"rows":[[[2],[2]]]}' 'input: weight (0, 2, 0) != (1, 1)'
+  # a dominance break first in the row word, a column break last
+  q='--lambda 1 --mu 2,1 --nu 2,1,1'
+  bad gamma "$q" '{"outer":[2,1],"rows":[[[1],[3]],[[1]]]}' 'input: not semistandard'
+  # an entry above n, the wrong weight, and not (1,)-dominant
+  bad gamma "$q" '{"outer":[2,1],"rows":[[[1],[4]],[[2]]]}' 'input: entries exceed n=3'
+  # the wrong weight, and not (1,)-dominant
+  bad gamma '--lambda 1 --mu 2,1 --nu 3,1' '{"outer":[2,1],"rows":[[[1],[3]],[[2]]]}' \
+    'input: weight (1, 1, 1) != (2, 1)'
+  # not semistandard, and an entry above n
+  bad gamma-inv '--lambda 2,1 --mu 1 --nu 2,1,1' '{"rotated_of":[2,1],"rows":[[[2]],[[4],[1]]]}' \
+    'input: not semistandard'
 }
 
 selfcheck() {

@@ -20,8 +20,7 @@ from .errors import DegreeError, DomainError, InternalInvariantError
 from .gtpatterns import (GTPattern, MarkedGTPattern, check_marks, omega,
                          omega_inverse, upsilon, upsilon_inverse)
 from .shapes import Partition, rotate, skew
-from .tableaux import (SetValuedFilling, _layout, enumerate_svt, is_lambda_dominant,
-                       is_semistandard, weight)
+from .tableaux import SetValuedFilling, _layout, enumerate_svt, weight
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,12 @@ def _side(q: CoefficientQuery, straight: bool):
     return sub, shape, None if any(d < 0 for d in target) else target
 
 
-def _witnesses(q: CoefficientQuery, straight: bool, singleton=False):
+def _witnesses(q: CoefficientQuery, straight: bool):
     """Yield the family `_side` describes, as `enumerate_svt` orders it."""
     sub, shape, target = _side(q, straight)
     if target is not None:
         yield from enumerate_svt(shape, max(1, len(target)), weight_filter=target,
-                                 singleton=singleton, dominant_for=sub)
+                                 dominant_for=sub)
 
 
 def buch_tableaux(query: CoefficientQuery):
@@ -85,9 +84,9 @@ def coeff_buch(query: CoefficientQuery) -> int:
     return sum(1 for _ in buch_tableaux(query))
 
 
-def contra_tableaux(query: CoefficientQuery, singleton=False):
+def contra_tableaux(query: CoefficientQuery):
     """Yield the mu-dominant fillings of the rotated lam shape with weight nu-mu."""
-    yield from _witnesses(query, straight=False, singleton=singleton)
+    yield from _witnesses(query, straight=False)
 
 
 def coeff_contra(query: CoefficientQuery) -> int:
@@ -121,12 +120,14 @@ def witness_lists(lam, mu, n: int) -> dict:
 
 
 def coeff_classical(query: CoefficientQuery) -> int:
-    """The one-entry-per-cell count, defined only in the degree-matching case."""
+    """The one-entry-per-cell count, defined only in the degree-matching case.
+    There the weight nu - mu sums to |lam|, the cells of the rotated lam, so
+    every contra witness holds one entry per cell: the count is `coeff_contra`."""
     if query.nu.size() != query.lam.size() + query.mu.size():
         raise DegreeError(
             f"|nu|={query.nu.size()} != |lam|+|mu|="
             f"{query.lam.size() + query.mu.size()}")
-    return sum(1 for _ in contra_tableaux(query, singleton=True))
+    return coeff_contra(query)
 
 
 def coeff_oracle(query: CoefficientQuery) -> int:
@@ -179,51 +180,55 @@ def _require_witness(filling, q: CoefficientQuery, what: str, error, *, straight
     """Raise `error` unless `filling` is a witness of `q`: on the straight
     side a lam-dominant filling of shape mu with weight nu - lam, on the
     rotated side a mu-dominant filling of rotated lam with weight nu - mu.
-    A witness passes in `_is_witness`'s one scan of its masks; only a
-    refusal runs the checks one by one, in order, to word the message."""
+    A negative entry of nu - base is named first, then a wrong shape, then
+    the first check `_witness_fault`'s one scan of the masks finds failed."""
     base = q.lam if straight else q.mu
     # a shape is the pair (outer, inner), so (mu, ()) is skew(mu, ())
     shape_ok = filling.shape == ((q.mu, ()) if straight else rotate(q.lam))
-    if shape_ok and _is_witness(filling, base, q.nu, q.n):
+    fault = _witness_fault(filling, base, q.nu, q.n) if shape_ok else None
+    if shape_ok and fault is None:
         return
-    _, shape, target = _side(q, straight)  # target: nu - base, unpadded
+    _, shape, target = _side(q, straight)
     if target is None:
         raise error(f"nu - {'lam' if straight else 'mu'} has a negative entry")
     if not shape_ok:
         raise error(f"{what}: shape {filling.shape!r} != {shape!r}")
-    if not is_semistandard(filling):
-        raise error(f"{what}: not semistandard")
-    try:
-        got = weight(filling, q.n)
-    except ValueError:
-        raise error(f"{what}: entries exceed n={q.n}") from None
-    if got != target + (0,) * (q.n - len(target)):
-        raise error(f"{what}: weight {got} != {target}")
-    if not is_lambda_dominant(filling, base):
-        raise error(f"{what}: not {tuple(base)}-dominant")
+    raise error(f"{what}: {fault}")
 
 
-def _is_witness(filling, base, nu, n: int) -> bool:
-    """One scan of the masks in row-word order: each cell against its left
-    and upper neighbour (semistandard), its top entry at most n, and the
-    counts, preset to base, dominant after every entry and nu at the end."""
+def _witness_fault(filling, base, nu, n: int):
+    """None if `filling`, of the witness shape, is a witness, else the first
+    check it fails, worded: semistandard, entries at most n, weight nu - base,
+    base-dominant.  One scan of the masks in row-word order, counts preset to
+    base: a cell that breaks against its left or upper neighbour returns at
+    once, as semistandardness outranks the rest; an entry above n or a
+    dominance break only sets a flag, as a later cell may still break."""
     masks = filling.masks
     _, left, up, rows = _layout(filling.shape)
     counts = [0, *base, *(0,) * (n - len(base))]
+    exceeds = broken = False
     for s in rows:
         for i in range(s.stop - 1, s.start - 1, -1):
             m, li, ui = masks[i], left[i], up[i]
             low = (m & -m).bit_length()  # the smallest value of the cell
-            if m.bit_length() > n or li is not None and masks[li].bit_length() > low \
+            if li is not None and masks[li].bit_length() > low \
                     or ui is not None and masks[ui].bit_length() >= low:
-                return False
+                return "not semistandard"
+            if m.bit_length() > n:
+                exceeds = True  # it outranks the weight and dominance: leave m uncounted
+                continue
             while m:
                 v = m.bit_length()
                 m ^= 1 << v - 1
                 counts[v] += 1
                 if v > 1 and counts[v] > counts[v - 1]:
-                    return False
-    return counts == [0, *nu, *(0,) * (n - len(nu))]
+                    broken = True
+    if exceeds:
+        return f"entries exceed n={n}"
+    if counts != [0, *nu, *(0,) * (n - len(nu))]:
+        got = tuple(map(sub, counts[1:], base.pad(n)))
+        return f"weight {got} != {tuple(starmap(sub, zip_longest(nu, base, fillvalue=0)))}"
+    return f"not {tuple(base)}-dominant" if broken else None
 
 
 def _marked_pattern(rows: tuple, marks, what: str, expand) -> tuple:

@@ -177,20 +177,8 @@ def superstandard(lam) -> SetValuedFilling:
 
 
 def is_lambda_dominant(filling: SetValuedFilling, lam) -> bool:
-    """The row word, prefixed by the row word of superstandard(lam), is dominant.
-    That prefix is dominant and leaves lam_i copies of each i, so presetting
-    the counts to lam reads it; the filling's row word is read off its masks."""
-    masks = filling.masks
-    counts = [0, *Partition(lam)] + [0] * max(masks, default=0).bit_length()
-    for s in _layout(filling.shape)[3]:
-        for m in reversed(masks[s]):
-            while m:
-                v = m.bit_length()
-                m ^= 1 << v - 1
-                counts[v] += 1
-                if v > 1 and counts[v] > counts[v - 1]:
-                    return False
-    return True
+    """The row word, prefixed by the row word of superstandard(lam), is dominant."""
+    return is_dominant(row_word(superstandard(lam)) + row_word(filling))
 
 
 def _values(mask: int) -> list:

@@ -11,7 +11,7 @@ from klrcalc import (CoefficientQuery, DegreeError, DomainError, GTPattern,
                      buch_tableaux, coeff_buch, coeff_classical, coeff_contra,
                      coeff_oracle, contra_tableaux, enumerate_svt, gamma,
                      gamma_inverse, is_lambda_dominant, is_semistandard, omega,
-                     partitions_up_to, rotate, skew, total_entries, upsilon,
+                     partitions, partitions_up_to, rotate, skew, total_entries, upsilon,
                      upsilon_inverse, weight, witness_lists)
 from klrcalc.errors import KLRError
 from klrcalc import grothendieck, gtpatterns, lr, verify
@@ -53,6 +53,40 @@ def test_coeff_classical():
     assert coeff_classical(CoefficientQuery((2, 2), (), (2, 2))) == 1
     with pytest.raises(DegreeError):
         coeff_classical(CoefficientQuery((1,), (1,), (2, 1, 1)))
+
+
+def test_coeff_classical_is_the_singleton_contra_count():
+    # at |nu| = |lam| + |mu| the weight nu - mu sums to |lam|, the cells of
+    # the rotated lam, so the contra witnesses hold one entry per cell and
+    # the count is the singleton search's
+    n, checked, witnesses = 4, 0, 0
+    for lam in partitions_up_to(4, max_length=n):
+        for mu in partitions_up_to(4, max_length=n):
+            for nu in partitions(lam.size() + mu.size(), max_length=n):
+                q = CoefficientQuery(lam, mu, nu, n)
+                target = tuple(itertools.starmap(sub, itertools.zip_longest(nu, mu, fillvalue=0)))
+                singles = list(enumerate_svt(rotate(lam), n, weight_filter=target,
+                                             dominant_for=mu, singleton=True))
+                assert coeff_classical(q) == len(singles), q
+                contra = list(contra_tableaux(q))
+                assert all(total_entries(f) == f.num_cells() for f in contra), q
+                checked += 1
+                witnesses += len(contra)
+    assert (checked, witnesses) == (1241, 423)
+
+
+def test_witness_lists_are_stable_in_n():
+    # raising n past the longest partition keeps every nu's lists, in
+    # order, and adds only nu with more parts than the old n
+    kept = added = 0
+    for lam in partitions_up_to(3):
+        for mu in partitions_up_to(3):
+            small = witness_lists(lam, mu, 3)
+            large = witness_lists(lam, mu, 5)
+            assert {nu: lists for nu, lists in large.items() if len(nu) <= 3} == small, (lam, mu)
+            kept += len(small)
+            added += len(large) - len(small)
+    assert (kept, added) == (149, 60)
 
 
 def test_gamma_trace_matches_worked_example():
@@ -350,10 +384,14 @@ def test_one_scan_witness_check_matches_the_checks_one_by_one():
                                 got = _outcome(lr._require_witness, f, q, straight)
                                 assert got == _outcome(_checks_one_by_one, f, q, straight), \
                                     (f, q, straight)
-                                # the scan alone: a refusal it got wrong would
-                                # still end in the checks one by one
-                                assert not own or lr._is_witness(f, base, q.nu, n) == (
-                                    got is None), (f, q, straight)
+                                # the scan alone: it accepts exactly the witnesses
+                                # of its own shape, and words the check that the
+                                # refusal names after a non-negative nu - base
+                                if own:
+                                    fault = lr._witness_fault(f, base, q.nu, n)
+                                    assert (fault is None) == (got is None), (f, q, straight)
+                                    assert got is None or "negative" in got[1] or \
+                                        got[1] == f"input: {fault}", (f, q, straight)
                                 kind = "accepted" if got is None else next(
                                     k for k in _CHECKS if k in got[1])
                                 seen[kind] = seen.get(kind, 0) + 1
@@ -422,8 +460,6 @@ def test_witness_lists_match_post_filtered_enumeration():
         buch = list(buch_tableaux(q))
         assert buch == reference(skew(q.mu), q.nu, q.lam, q.lam)
         assert list(contra_tableaux(q)) == reference(rotate(q.lam), q.nu, q.mu, q.mu)
-        assert list(contra_tableaux(q, singleton=True)) == \
-            reference(rotate(q.lam), q.nu, q.mu, q.mu, singleton=True)
         witnesses += len(buch)
     assert witnesses > 150
 

@@ -86,11 +86,12 @@ def test_lambda_dominance_examples():
 
 
 def test_lambda_dominance_reads_the_seed_word_first():
-    # is_lambda_dominant presets its counts to lam; that must be the
-    # definition, the seed word of superstandard(lam) read before the
-    # filling's: on every semistandard filling of the straight and rotated
-    # shapes of <= 4 cells with entries <= 4, and on every assignment of
-    # subsets of {1, 2, 3} to those of <= 3 cells, semistandard or not
+    # is_lambda_dominant is the reference the fast checks are tested
+    # against, so it must be the definition, the seed word of
+    # superstandard(lam) read before the filling's: on every semistandard
+    # filling of the straight and rotated shapes of <= 4 cells with entries
+    # <= 4, and on every assignment of subsets of {1, 2, 3} to those of
+    # <= 3 cells, semistandard or not
     shapes = [make(lam) for lam in partitions_up_to(4) for make in (skew, rotate)]
     fillings = [f for shape in shapes for f in enumerate_svt(shape, 4)]
     subsets = [s for k in (1, 2, 3) for s in itertools.combinations((1, 2, 3), k)]
