@@ -54,15 +54,16 @@ add degree, so the table cut to degree <= c is the table at cap c: a
 product to degree c reads its factors, each trimmed by degree to what
 the other leaves under c, and its basis terms to degree c alone.  The
 product is checked, cut to its cone and peeled in packed keys; only the
-text of a ResidualNonzero unpacks one.  `multiply` and the public peels
-work on exponent tuples, read `_g_cone` and share no loop with the
-oracle, so they stay its plain reference.
+text of a ResidualNonzero unpacks one.  `multiply` runs its own product
+loop on exponent tuples and the public peels read their basis cones from
+`_g_cone`, so that loop and those cones are independent of the oracle's
+and stay its plain reference; the peel loop, `_peel_cone`, is shared.
 
-Caches: all are `lru_cache`s.  `expand_product` hands out the
-`BasisExpansion` of `_expand_product`, so its `coeffs` is read-only.
-`_products` (1,024 pairs) and `_tables` (64 tables) each cache a slot
-grown in place: one expansion per unordered pair at the largest n and
-cap asked, to cut the rest from; one table per n at the largest cap.
+Caches: all are `lru_cache`s.  An oracle product is cached in one place,
+`_products` (1,024 pairs), a slot per unordered pair grown in place: its
+expansion at the largest n and cap asked, which `expand_product` hands
+out at that n and cap (so its `coeffs` is read-only) and cuts for the
+rest.  `_tables` (64 tables) is a slot per n grown to the largest cap.
 No public function hands out the dicts of `_dominant_table` or
 `_g_cone`; `_orbit` and `_partitions` return tuples.
 """
@@ -345,8 +346,8 @@ def expand_in_g_basis(p: SparseIntPolynomial, cap=None) -> BasisExpansion:
 
     `p` must be symmetric up to the cap, and `cap` may not exceed `p.cap`:
     terms above `p.cap` were dropped, not zero.  The basis cones come from
-    `_g_cone`, never from the oracle's table, so this peel is the
-    oracle's independent reference.
+    `_g_cone`, never from the oracle's table, so this peel's basis is the
+    oracle's independent reference; the peel loop `_peel_cone` is shared.
     """
     if cap is None:
         cap = p.cap if p.cap is not None else p.max_degree()
@@ -367,18 +368,32 @@ def expand_product(lam, mu, n: int, cap: int) -> BasisExpansion:
 
     Read in min(n, cap) variables, which is exact: no nu of degree <= cap
     has more than cap parts, and G_nu in fewer variables is G_nu with the
-    rest set to 0.  The product commutes, so results are cached by the unordered pair
-    {lam, mu} with n and cap: G_mu * G_lam is the same object.  The
-    expansion is shared between callers, so its `coeffs` is read-only.
-
-    Each pair is peeled once at the largest n and cap asked for it so far;
-    a smaller query reads that expansion cut, in order, to nu with at most
-    n parts and |nu| <= cap.  That is exact: the peel is triangular by
-    degree, so no coefficient to degree cap reads a term above it, and
-    x_{n+1} = ... = 0 sends G_nu to G_nu in n variables, or to 0 past n parts.
+    rest set to 0.  The product commutes, so `_products` stores one
+    expansion per unordered pair {lam, mu}, peeled at the largest n and
+    cap asked for it so far and shared with every query at that n and cap,
+    so its `coeffs` is read-only.  A smaller query reads it cut, in order,
+    to nu with at most n parts and |nu| <= cap.  That is exact: the peel is
+    triangular by degree, so no coefficient to degree cap reads a term
+    above it, and x_{n+1} = ... = 0 sends G_nu to G_nu in n variables, or
+    to 0 past n parts.
     """
-    first, second = sorted((Partition(lam), Partition(mu)))
-    return _expand_product(first, second, min(int(n), int(cap)), int(cap))
+    lam, mu = sorted((Partition(lam), Partition(mu)))
+    n, cap = min(int(n), int(cap)), int(cap)
+    for cells in (sum(lam), sum(mu)):
+        if cap < cells:
+            raise ValueError(f"cap {cap} is below the cell count {cells}")
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    slot = _products(lam, mu)
+    top, top_cap, expansion = slot[0]
+    if n > top or cap > top_cap:
+        top, top_cap = max(n, top), max(cap, top_cap)
+        expansion = _peel_product(lam, mu, top, top_cap)
+        slot[0] = top, top_cap, expansion
+    if (n, cap) == (top, top_cap):
+        return expansion
+    return BasisExpansion("G", MappingProxyType(
+        {nu: c for nu, c in expansion.coeffs.items() if len(nu) <= n and sum(nu) <= cap}))
 
 
 # one table per n: an lru_cache of a slot grown in place, at most 64 of
@@ -408,27 +423,6 @@ def _dominant_table(n: int, cap: int) -> tuple:
 # (lam, mu): an lru_cache of a slot grown in place, at most 1,024 pairs:
 # (n, cap, the expansion at that n and cap), set only once a peel returns
 _products = lru_cache(maxsize=1024)(lambda lam, mu: [(-1, -1, None)])
-
-
-@lru_cache(maxsize=1024)
-def _expand_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:
-    """G_lam * G_mu, lam <= mu, in n <= cap variables to degree cap: the
-    pair's expansion in `_products`, peeled anew at a larger n or cap, cut."""
-    for cells in (sum(lam), sum(mu)):
-        if cap < cells:
-            raise ValueError(f"cap {cap} is below the cell count {cells}")
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n}")
-    slot = _products(lam, mu)
-    top, top_cap, expansion = slot[0]
-    if n > top or cap > top_cap:
-        top, top_cap = max(n, top), max(cap, top_cap)
-        expansion = _peel_product(lam, mu, top, top_cap)
-        slot[0] = top, top_cap, expansion
-    if (n, cap) == (top, top_cap):
-        return expansion
-    return BasisExpansion("G", MappingProxyType(
-        {nu: c for nu, c in expansion.coeffs.items() if len(nu) <= n and sum(nu) <= cap}))
 
 
 def _peel_product(lam: tuple, mu: tuple, n: int, cap: int) -> BasisExpansion:

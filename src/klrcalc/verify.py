@@ -79,8 +79,8 @@ def check_rules(lam, mu, n: int) -> str:
     """All three coefficient routes agree for every nu up to the cap, and
     the witness bijection round trips.
 
-    The cap is |lam| + |mu| + 3, symmetric in lam and mu, so the product
-    comes from the shared `grothendieck.expand_product` cache.  The
+    The cap is |lam| + |mu| + 3, symmetric in lam and mu, so (lam, mu)
+    and (mu, lam) read the pair's one stored expansion.  The
     witnesses come from one search per side for the whole instance
     (`lr.witness_lists`), not one per nu.  The nu walked are those up to
     the cap that the expansion or a witness names, by degree and then

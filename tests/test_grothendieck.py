@@ -196,10 +196,8 @@ def test_expand_product_is_the_same_in_both_orders():
     for lam in lams:
         for mu in lams:
             cap = lam.size() + mu.size() + 3
-            grothendieck._expand_product.cache_clear()
             grothendieck._products.cache_clear()
             forward = grothendieck.expand_product(lam, mu, 3, cap)
-            grothendieck._expand_product.cache_clear()
             grothendieck._products.cache_clear()
             backward = grothendieck.expand_product(mu, lam, 3, cap)
             assert forward.coeffs == backward.coeffs, (lam, mu)
@@ -497,7 +495,7 @@ def test_expand_product_reads_at_most_cap_variables():
                 expected = grothendieck.expand_product(lam, mu, cap, cap).coeffs
                 for n in (cap + 1, cap + 2):
                     assert grothendieck.expand_product(lam, mu, n, cap).coeffs == expected
-                wide = grothendieck._expand_product(*sorted((lam, mu)), cap + 1, cap)
+                wide = grothendieck._peel_product(*sorted((lam, mu)), cap + 1, cap)
                 assert wide.coeffs == expected, (lam, mu, cap)
                 checked += bool(expected)
     assert checked == 84
@@ -525,7 +523,6 @@ def test_expand_product_is_the_same_in_any_query_order(products, cold_caches):
             for cap in range(lam.size() + mu.size(), lam.size() + mu.size() + 4)]
 
     def cold(key):
-        grothendieck._expand_product.cache_clear()
         grothendieck._products.cache_clear()
         return list(grothendieck.expand_product(*key).coeffs.items())
 
@@ -537,6 +534,25 @@ def test_expand_product_is_the_same_in_any_query_order(products, cold_caches):
         assert list(grothendieck.expand_product(*key).coeffs.items()) == expected[key], key
     assert len(keys) == 784
     assert len(products) == 76  # for 28 unordered pairs
+
+
+def test_check_rules_reads_one_product_per_unordered_pair(products, cold_caches):
+    # verify asks (lam, mu) and (mu, lam) at one n and the symmetric cap
+    # |lam| + |mu| + 3, so the second order reads the product the first
+    # stored: one product per unordered pair, every other ask a hit on the
+    # one store, and at the stored n and cap both orders get one expansion
+    shapes = list(partitions_up_to(3))
+    pairs = [(lam, mu) for lam in shapes for mu in shapes]
+    for lam, mu in pairs:
+        assert verify.check_rules(lam, mu, 3) == ""
+        assert verify.check_rules(mu, lam, 3) == ""
+    assert len(products) == len(shapes) * (len(shapes) + 1) // 2 == 28
+    assert grothendieck._products.cache_info()[:2] == (2 * len(pairs) - 28, 28)
+    cold_caches()
+    for lam, mu in pairs:
+        cap = lam.size() + mu.size() + 3
+        stored = grothendieck.expand_product(lam, mu, 3, cap)
+        assert grothendieck.expand_product(mu, lam, 3, cap) is stored, (lam, mu)
 
 
 def test_oracle_stores_are_bounded(monkeypatch, cold_caches):
@@ -577,7 +593,6 @@ def test_a_peel_that_raises_leaves_the_stored_pair(monkeypatch, products, cold_c
     with pytest.raises(RuntimeError):
         grothendieck.expand_product((1,), (1,), 3, 4)
     monkeypatch.setattr(grothendieck, "_peel_product", real)
-    grothendieck._expand_product.cache_clear()
     products.clear()
     assert list(grothendieck.expand_product((1,), (1,), 2, 3).coeffs.items()) == expected[2, 3]
     assert products == []
