@@ -40,6 +40,14 @@ cli_smoke() {
   python -m klrcalc verify --max-size 3 --n 3 --jobs 1
 }
 
+cold_imports() {
+  # importing klrcalc loads neither dataclasses nor the modules it pulls in;
+  # Tier-1 cannot check this, because pytest itself imports inspect
+  python -c 'import sys, klrcalc, klrcalc.cli
+loaded = sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules))
+sys.exit(f"loaded at import: {loaded}" if loaded else 0)'
+}
+
 usage_errors() {
   # through `python -m klrcalc`, so argv comes from sys.argv: a leftover
   # argument and an unknown command are worded by the whole parser, and an
@@ -392,7 +400,7 @@ selfcheck() {
 }
 
 failed=0
-for pin in cli_smoke usage_errors pooled_verify pooled_verify_size_4 bijection_round_trips \
+for pin in cli_smoke cold_imports usage_errors pooled_verify pooled_verify_size_4 bijection_round_trips \
            inverse_outputs every_filling_inverts schur_and_closed_pipe large_n \
            long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
            public_expansions oracle_products oracle_products_any_order small_n_skew_polys \

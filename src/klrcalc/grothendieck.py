@@ -70,7 +70,7 @@ No public function hands out the dicts of `_dominant_table` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -281,12 +281,12 @@ def schur_poly(outer, inner, n: int) -> SparseIntPolynomial:
     return SparseIntPolynomial(n, grothendieck_poly(outer, inner, n, cells).terms)
 
 
-@dataclass(frozen=True, eq=True)
-class BasisExpansion:
-    """Signed integer coordinates of a polynomial on a partition basis."""
+class BasisExpansion(namedtuple("BasisExpansion", "basis coeffs")):
+    """Signed integer coordinates of a polynomial on a partition basis, kept
+    as the tuple (basis, coeffs): `basis` is "G" or "s", `coeffs` a
+    read-only mapping, as the oracle's expansions are shared."""
 
-    basis: str  # "G" or "s"
-    coeffs: MappingProxyType  # read-only: the oracle's expansions are shared
+    __slots__ = ()
 
     def coefficient(self, nu) -> int:
         return self.coeffs.get(Partition(nu), 0)

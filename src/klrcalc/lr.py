@@ -11,7 +11,7 @@ triangles N and N_up sum the rows of one `_copy_table` per pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, starmap, zip_longest
 from operator import add, itemgetter, sub
 
@@ -23,28 +23,29 @@ from .shapes import Partition, rotate, skew
 from .tableaux import SetValuedFilling, _layout, enumerate_svt, weight
 
 
-@dataclass(frozen=True)
-class CoefficientQuery:
-    """Which coefficient: the nu term of the product indexed by lam and mu.
+class CoefficientQuery(namedtuple("CoefficientQuery", "lam mu nu n")):
+    """Which coefficient: the nu term of the product indexed by lam and mu,
+    kept as the tuple (lam, mu, nu, n) of its fields.
 
     `n` is the common ambient size for patterns and fillings; it
     defaults to the largest partition length and the counts are stable
-    under raising it further.
+    under raising it further.  Pickle, copy and `_replace` rebuild
+    through the constructor, which checks the fields.
     """
 
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    n: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Partition(self.lam))
-        object.__setattr__(self, "mu", Partition(self.mu))
-        object.__setattr__(self, "nu", Partition(self.nu))
-        longest = max(len(self.lam), len(self.mu), len(self.nu))
-        object.__setattr__(self, "n", longest if self.n is None else int(self.n))
-        if longest > self.n:
-            raise DomainError(f"n={self.n} smaller than a partition length")
+    def __new__(cls, lam, mu, nu, n=None):
+        lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+        longest = max(len(lam), len(mu), len(nu))
+        n = longest if n is None else int(n)
+        if longest > n:
+            raise DomainError(f"n={n} smaller than a partition length")
+        return tuple.__new__(cls, (lam, mu, nu, n))
+
+    @classmethod
+    def _make(cls, fields):  # `_replace` builds through `_make`
+        return cls(*fields)
 
     @property
     def cap(self) -> int:
@@ -141,9 +142,12 @@ def coeff_oracle(query: CoefficientQuery) -> int:
     return query.sign * expansion.coefficient(query.nu)
 
 
-@dataclass(frozen=True)
-class GammaTrace:
-    """Every intermediate object of one bijection run.
+class GammaTrace(namedtuple(
+        "GammaTrace", "direction query tableau tableau_pattern tableau_marks contra_pattern "
+        "contra_marks contratableau prefix_counts suffix_counts cumulative_rows slack_rows "
+        "column_ops", defaults=(None,) * 5)):
+    """Every intermediate object of one bijection run, kept as the tuple of
+    its fields.
 
     Forward runs fill `prefix_counts`; inverse runs fill the suffix
     counts, the cumulative triangle, the slack triangle derived from it,
@@ -151,19 +155,7 @@ class GammaTrace:
     side's pattern.
     """
 
-    direction: str
-    query: CoefficientQuery
-    tableau: SetValuedFilling
-    tableau_pattern: GTPattern
-    tableau_marks: frozenset
-    contra_pattern: GTPattern
-    contra_marks: frozenset
-    contratableau: SetValuedFilling
-    prefix_counts: tuple = None
-    suffix_counts: tuple = None
-    cumulative_rows: tuple = None
-    slack_rows: tuple = None
-    column_ops: tuple = None
+    __slots__ = ()
 
 
 def _copy_table(marked: MarkedGTPattern) -> list:

@@ -10,7 +10,7 @@ minimal counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 
 from . import grothendieck, gtpatterns, lr, tableaux
@@ -18,11 +18,14 @@ from .errors import InputError
 from .shapes import Partition, partitions_up_to, rotate, skew
 
 
-@dataclass
-class SweepResult:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)  # (instance, detail)
+class SweepResult(namedtuple("SweepResult", "name checked failures")):
+    """One sweep's outcome, kept as the tuple (name, checked, failures) of
+    its fields; `failures` is a list of (instance, detail) pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, checked=0, failures=None):
+        return tuple.__new__(cls, (name, checked, [] if failures is None else failures))
 
     @property
     def ok(self) -> bool:

@@ -60,25 +60,42 @@ def test_pattern_rows_are_set_once(cold_caches):
 def test_values_are_the_tuples_of_their_fields():
     pattern = GTPattern([(2,), (2, 1)])
     marked = MarkedGTPattern(pattern, [(2, 1)])
+    query = klrcalc.CoefficientQuery((1,), (1,), (2,))
+    (t,), (s,) = klrcalc.witness_lists((1,), (1,), 1)[(2,)]
+    one = GTPattern([(1,)])
+    trace = klrcalc.gamma(t, query)
+    failures = ((((1,), (1,), 2), "boom"),)
+    sweep = verify.SweepResult("rule-agreement", 4, failures)
     for value, fields in ((skew((3, 1), (1,)), ((3, 1), (1,))),
                           (rotate((2, 1)), ((2, 2), (1,))),
                           (pattern, ((2,), (2, 1))),
-                          (marked, (pattern, frozenset({(2, 1)})))):
+                          (marked, (pattern, frozenset({(2, 1)}))),
+                          (query, ((1,), (1,), (2,), 1)),
+                          (trace, ("gamma", query, t, one, frozenset(), one, frozenset(), s,
+                                   ((1, 2),), None, None, None, None)),
+                          (sweep, ("rule-agreement", 4, failures))):
         assert value == fields and hash(value) == hash(fields)
         for back in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                      copy.deepcopy(value)):
             assert type(back) is type(value) and back == value
     assert copy.copy(rotate((2, 1))).lam == (2, 1)
-    for name, value in (("pattern", GTPattern([(1,), (1, 0)])), ("marks", frozenset())):
+    # an expansion's read-only mapping neither hashes nor pickles
+    expansion = klrcalc.grothendieck.expand_product((1,), (1,), 2, 3)
+    assert expansion == ("G", {(2,): 1, (1, 1): 1, (2, 1): -1})
+    for record, name, value in ((marked, "pattern", GTPattern([(1,), (1, 0)])),
+                                (marked, "marks", frozenset()), (query, "n", 0),
+                                (trace, "contratableau", t), (sweep, "failures", []),
+                                (expansion, "coeffs", {})):
         with pytest.raises(AttributeError):
-            setattr(marked, name, value)
+            setattr(record, name, value)
     assert marked == (pattern, {(2, 1)})
     # pickle and copy rebuild through the constructor, which refuses what
     # an unchecked build let through
     forged = [(tuple.__new__(klrcalc.SkewShape, (Partition((1,)), Partition((2,)))),
                klrcalc.ContainmentError),
               (GTPattern._trusted(((1, 2),)), ValueError),
-              (MarkedGTPattern._trusted(pattern, frozenset({(2, 2)})), ValueError)]
+              (MarkedGTPattern._trusted(pattern, frozenset({(2, 2)})), ValueError),
+              (tuple.__new__(klrcalc.CoefficientQuery, ((1, 1), (1,), (2,), 1)), DomainError)]
     for value, error in forged:
         for rebuild in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy):
             with pytest.raises(error):

@@ -1,6 +1,5 @@
 import itertools
 import sys
-from dataclasses import replace
 from operator import sub
 
 import pytest
@@ -26,6 +25,10 @@ def test_query_defaults():
     assert q.n == 4
     with pytest.raises(DomainError):
         CoefficientQuery((3, 2, 1), (1,), (3, 2, 1), n=2)
+    # a changed copy is checked as a new query is
+    with pytest.raises(DomainError, match="^n=0 smaller than a partition length$"):
+        CoefficientQuery((1,), (1,), (2,))._replace(n=0)
+    assert CoefficientQuery((1,), (1,), (2,))._replace(n=3) == ((1,), (1,), (2,), 3)
 
 
 def test_coeff_buch_examples():
@@ -279,7 +282,7 @@ def test_check_rules_sees_a_broken_gamma(monkeypatch, image_of_t2, detail):
         trace = real(t, query)
         if t != wx.t2():
             return trace
-        return replace(trace, contratableau=image_of_t2(real, query))
+        return trace._replace(contratableau=image_of_t2(real, query))
 
     monkeypatch.setattr(lr, "gamma", broken)
     assert verify.check_rules(wx.FINAL_LAM, wx.FINAL_MU, 4) == (
@@ -552,7 +555,7 @@ def test_counts_stable_when_n_grows():
             for nu in partitions_up_to(lam.size() + mu.size() + 2):
                 q = CoefficientQuery(lam, mu, nu)
                 counts = {(coeff_buch(r), coeff_contra(r))
-                          for r in (q, replace(q, n=q.n + 1), replace(q, n=q.n + 2))}
+                          for r in (q, q._replace(n=q.n + 1), q._replace(n=q.n + 2))}
                 assert len(counts) == 1, q
                 checked += 1
     assert checked == 1711
