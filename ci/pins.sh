@@ -389,6 +389,23 @@ gamma_refusals() {
     'input: not semistandard'
 }
 
+bijection_sweep_n5() {
+  # check_bijections on all 102 (lambda, n) with |lambda| <= 6 and n <= 5,
+  # one n past the benchmark's: every instance passes, over 4,414 patterns
+  # and 91,574 markings
+  python - <<'PY'
+import sys
+from klrcalc import enumerate_gt, marked_patterns, partitions_up_to
+from klrcalc.verify import check_bijections
+instances = [(lam, n) for lam in partitions_up_to(6) for n in range(max(1, len(lam)), 6)]
+failed = [(lam, n, detail) for lam, n in instances for detail in [check_bijections(lam, n)] if detail]
+patterns = [x for lam, n in instances for x in enumerate_gt(lam, n)]
+markings = sum(1 for x in patterns for _ in marked_patterns(x))
+got = (len(instances), failed, len(patterns), markings)
+sys.exit(0 if got == (102, [], 4414, 91574) else f"got {got}")
+PY
+}
+
 selfcheck() {
   # the digests cover every certificate and verify line the four
   # workloads print; they are the same on Python 3.10 and 3.11
@@ -405,7 +422,7 @@ for pin in cli_smoke cold_imports usage_errors pooled_verify pooled_verify_size_
            long_shapes oracle_expansion oracle_expansion_size_6 skew_and_wide_polys \
            public_expansions oracle_products oracle_products_any_order small_n_skew_polys \
            pruned_witness_search unweighted_witness_streams gamma_certificates \
-           gamma_traces gamma_refusals selfcheck; do
+           gamma_traces gamma_refusals bijection_sweep_n5 selfcheck; do
   (set -e; "$pin") > "$tmp/pin.log" 2>&1
   if [ $? = 0 ]; then
     echo "pass $pin"

@@ -130,12 +130,15 @@ def enumerate_gt(lam, n: int):
     Rows grow from the bottom up; each candidate row ranges over all
     partitions interlacing the one below it, so the stream is exactly
     the interlacing characterization, depth first and deterministic.
+    Every row is a tuple of ints of its length by construction, so the
+    patterns are built unchecked (`GTPattern._trusted`); `_strips_of` and
+    `_recover` still `validate` each pattern they read.
     """
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} needs more than {n} rows")
     if n == 0:
-        yield GTPattern(())
+        yield GTPattern._trusted(())
         return
     # an explicit stack of (rows below, candidates for the next row up):
     # one generator nested per row would bound n by the recursion limit
@@ -146,17 +149,22 @@ def enumerate_gt(lam, n: int):
         if row is None:
             stack.pop()
         elif len(row) == 1:
-            yield GTPattern((row,) + below)
+            yield GTPattern._trusted((row,) + below)
         else:
             stack.append(((row,) + below, _interlacings(row)))
 
 
 def marked_patterns(pattern: GTPattern):
-    """All markings of `pattern` in a fixed order, the empty marking first."""
-    positions = sorted(markable_positions(pattern))
-    for m in range(1 << len(positions)):
-        yield MarkedGTPattern._trusted(
-            pattern, frozenset(p for b, p in enumerate(positions) if m >> b & 1))
+    """All markings of `pattern`, the empty marking first: marking m marks
+    the sorted markable positions whose bits are set in m, m = 0, 1, ....
+    Marking m + 2^b, for m < 2^b, is marking m with position b added, so
+    each marking is one frozenset union."""
+    markings = [frozenset()]
+    for position in sorted(markable_positions(pattern)):
+        added = frozenset((position,))
+        markings += [marks | added for marks in markings]
+    for marks in markings:
+        yield MarkedGTPattern._trusted(pattern, marks)
 
 
 @lru_cache(maxsize=1024)

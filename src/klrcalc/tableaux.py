@@ -138,7 +138,7 @@ def weight(filling: SetValuedFilling, n=None) -> tuple:
 
 def total_entries(filling: SetValuedFilling) -> int:
     """Sum of entry-set sizes over all cells."""
-    return sum(m.bit_count() for m in filling.masks)
+    return sum(map(int.bit_count, filling.masks))
 
 
 def column_word(filling: SetValuedFilling) -> tuple:

@@ -133,6 +133,38 @@ def test_enumerate_gt_counts_match_singleton_fillings():
             assert len(pats) == len(singles)
 
 
+def test_enumerate_gt_builds_the_patterns_the_constructor_builds():
+    # the patterns are built unchecked; each equals and hashes like its
+    # checked rebuild, and every row is a plain tuple of ints
+    checked = 0
+    for lam in partitions_up_to(6, max_length=4):
+        for n in range(len(lam), 5):
+            for x in enumerate_gt(lam, n):
+                other = GTPattern(tuple(x))
+                assert type(x) is GTPattern and x == other and hash(x) == hash(other)
+                assert [len(row) for row in x] == list(range(1, n + 1))
+                assert all(type(row) is tuple and all(type(v) is int for v in row)
+                           for row in x)
+                checked += 1
+    assert checked == 1318
+
+
+def test_marked_patterns_follow_the_bit_mask_order():
+    # marking m holds the sorted markable positions whose bits are set in m
+    checked = 0
+    for lam in partitions_up_to(6, max_length=4):
+        for n in range(len(lam), 5):
+            for x in enumerate_gt(lam, n):
+                positions = sorted(markable_positions(x))
+                want = [frozenset(p for b, p in enumerate(positions) if m >> b & 1)
+                        for m in range(1 << len(positions))]
+                got = list(marked_patterns(x))
+                assert [m.marks for m in got] == want
+                assert all(m.pattern is x and type(m.marks) is frozenset for m in got)
+                checked += len(got)
+    assert checked == 10384
+
+
 def test_markable_positions_example():
     assert markable_positions(wx.GT_EXAMPLE) == wx.GT_EXAMPLE_MARKABLE
     zeros = GTPattern([(0,), (0, 0)])
@@ -322,6 +354,25 @@ def test_check_bijections_sees_a_replaced_forward_map(monkeypatch, name):
 
     monkeypatch.setattr(gtpatterns, name, broken)
     assert verify.check_bijections((2,), 2) == f"{name} not injective on (2,), n=2"
+
+
+@pytest.mark.parametrize("moved", [None, 1])
+def test_check_bijections_reads_an_image_of_another_shape_as_a_filling(monkeypatch, moved):
+    # images moved onto the rotated shape with their own masks are not the
+    # straight fillings with those masks: the sweep must say the image is
+    # wrong, whether every image moved or only the first
+    real = gtpatterns.upsilon
+    first = next(marked_patterns(next(enumerate_gt((2, 1), 2))))
+
+    def moved_image(marked):
+        image = real(marked)
+        if moved is None or marked == first:
+            return SetValuedFilling._trusted(rotate((2, 1)), image.masks)
+        return image
+
+    monkeypatch.setattr(gtpatterns, "upsilon", moved_image)
+    assert verify.check_bijections((2, 1), 2) == (
+        "upsilon image has 3 fillings, universe has 3 for (2, 1), n=2")
 
 
 def test_check_bijections_reports_a_short_universe(monkeypatch):
