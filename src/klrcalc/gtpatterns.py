@@ -6,19 +6,20 @@ strictly positive south-east slack records one extra entry insertion;
 expanding all marks row strip by row strip produces either a straight
 set-valued tableau (`upsilon`) or a rotated one (`omega`).
 
-Both are one strip engine in two orientations, placed by `_frame`.
-Straight: pass i writes i, and pattern row j is shape row j read from
-the left.  Rotated: pass i writes n+1-i, and pattern row j is bottom-row
-j read from the right.  The passes depend on the pattern alone, so
-the cached `_strips_of` validates a pattern once and runs them in both
-orientations, keeping the unmarked cell masks; `_expand` copies them and
-ORs in the marks of each marking.
-`upsilon_inverse` and `omega_inverse` read the masks as pattern rows
-through the same frame, and `_contract` undoes the passes in one pass
-over them, accepting exactly the semistandard fillings with entries at
-most n.  `_recover`, cached on the cells' keys (the pass that created
-each cell), counts and validates each pattern once, since every marking
-of a pattern and both its images read the same keys.
+Both are one strip engine in two orientations.  Straight: pass i writes
+i, and pattern row j is shape row j read from the left.  Rotated: pass i
+writes n+1-i, and pattern row j is bottom-row j read from the right.
+`_starts`, cached on a shape, says where each pattern row starts in that
+strip order.  The passes depend on the pattern alone, so the cached
+`_strips_of` validates a pattern once, takes its two frames from
+`_starts` and runs the passes in both orientations, keeping the unmarked
+cell masks; `_expand` copies them and ORs in the marks of each marking.
+The inverses read one frame per filling shape from `_starts`, which
+refuses a shape of the wrong kind, and `_contract` undoes the passes in
+one pass over the masks, accepting exactly the semistandard fillings
+with entries at most n.  `_recover`, cached on the cells' keys (the pass
+that created each cell), counts and validates each pattern once, since
+every marking of a pattern and both its images read the same keys.
 `check_marks` is the one test of a marking, shared by the
 `MarkedGTPattern` constructor, `_contract` and the gamma path in `lr`.
 """
@@ -168,27 +169,33 @@ def marked_patterns(pattern: GTPattern):
 
 
 @lru_cache(maxsize=1024)
-def _frame(parts: tuple, rotated: bool) -> tuple:
-    """(shape, starts): the straight or rotated shape over bottom row
-    `parts` (zeros allowed), shared by every caller, and where pattern row
-    j starts in strip order, cell 1 first: the shape's cell order, reversed
-    when rotated, since pattern row j is then bottom row j from the right."""
-    lam = Partition(parts)
-    return rotate(lam) if rotated else skew(lam, ()), tuple(itertools.accumulate(parts, initial=0))
+def _starts(shape, rotated: bool) -> tuple:
+    """Where each pattern row starts among the masks of a filling of `shape`
+    in strip order: its cell order, reversed when rotated, so that row j is
+    bottom row j from the right.  NotStraightShape or NotRotatedShape unless
+    `shape` is the straight or rotated diagram of a partition."""
+    if rotated:
+        lengths = [len(shape.row_cols(r)) for r in range(shape.num_rows, 0, -1)]
+        if lengths != sorted(lengths, reverse=True) or rotate(lengths) != shape:
+            raise NotRotatedShape(f"{shape!r} is not a rotated diagram")
+    elif shape.inner:
+        raise NotStraightShape(f"inner partition {shape.inner} is not empty")
+    return tuple(itertools.accumulate(lengths if rotated else shape.outer, initial=0))
 
 
 @lru_cache(maxsize=1024)
 def _strips_of(pattern: GTPattern) -> tuple:
     """Per orientation, straight then rotated, (shape, starts, masks) of
-    `pattern` expanded with no marks, in `_frame`'s strip order;
-    DomainError unless the pattern is valid.  Cached on the pattern, so
-    each is validated once and expanded once in both orientations."""
+    `pattern` expanded with no marks, on `skew(λ, ())` or `rotate(λ)` for
+    its bottom row λ; DomainError unless the pattern is valid.  Cached on
+    the pattern: validated once, expanded once per orientation."""
     if not validate(pattern):
         raise DomainError(f"invalid pattern {pattern!r}")
     n = len(pattern)
+    lam = Partition(pattern[-1] if n else ())
     strips = []
-    for rotated in (False, True):
-        shape, starts = _frame(pattern[-1] if n else (), rotated)
+    for rotated, shape in ((False, skew(lam, ())), (True, rotate(lam))):
+        starts = _starts(shape, rotated)
         masks = [0] * starts[-1]
         for i in range(1, n + 1):
             bit = 1 << (n - i if rotated else i - 1)  # label n+1-i or i
@@ -317,12 +324,12 @@ def _recover(keys: tuple, starts: tuple, n: int):
     return pattern if validate(pattern) else None
 
 
-def _read(filling: SetValuedFilling, lam: Partition, n, rotated: bool) -> MarkedGTPattern:
-    """Contract `filling` of the straight or rotated shape of `lam`, in the
-    strip order `_expand` writes; `n` defaults to the larger of the top
-    entry and the row count, and is at most `MAX_ENTRY`."""
+def _read(filling: SetValuedFilling, n, rotated: bool) -> MarkedGTPattern:
+    """Contract `filling`, in the strip order `_expand` writes, once `_starts`
+    has checked its shape; `n` defaults to the larger of the top entry and
+    the row count, and is at most `MAX_ENTRY`."""
+    starts = _starts(filling.shape, rotated)
     masks = filling.masks[::-1] if rotated else filling.masks
-    starts = _frame(lam, rotated)[1]
     top = max(masks, default=0).bit_length()  # the largest entry, 0 if none
     rows = len(starts) - 1
     if n is None:
@@ -341,18 +348,7 @@ def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     entry at most i; every value sitting in a cell whose minimum is
     smaller contributes one mark.  DomainError unless it is semistandard.
     """
-    if filling.shape.inner:
-        raise NotStraightShape(f"inner partition {filling.shape.inner} is not empty")
-    return _read(filling, filling.shape.outer, n, rotated=False)
-
-
-@lru_cache(maxsize=1024)
-def _rotated_source(shape) -> Partition:
-    """The partition whose rotated embedding equals `shape`."""
-    lengths = [len(shape.row_cols(r)) for r in range(shape.num_rows, 0, -1)]
-    if lengths != sorted(lengths, reverse=True) or rotate(lengths) != shape:
-        raise NotRotatedShape(f"{shape!r} is not a rotated diagram")
-    return Partition(lengths)
+    return _read(filling, n, rotated=False)
 
 
 def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
@@ -362,7 +358,7 @@ def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     cells whose maximum entry is at least n+1-i; every value below a
     cell's maximum contributes one mark.  DomainError unless semistandard.
     """
-    return _read(filling, _rotated_source(filling.shape), n, rotated=True)
+    return _read(filling, n, rotated=True)
 
 
 def weight_reversal_check(marked: MarkedGTPattern) -> bool:

@@ -142,18 +142,19 @@ class RotatedShape(SkewShape):
 
 def skew(outer, inner=()) -> SkewShape:
     """The skew diagram outer/inner."""
-    return SkewShape(outer, inner)
+    return _diagram(Partition(outer), False) if inner == () else SkewShape(outer, inner)
 
 
 def rotate(lam) -> RotatedShape:
-    """The rotated diagram of lam in its canonical skew embedding.
-
-    Shapes are immutable, so every caller with the same parts shares one.
-    """
-    return _rotated(Partition(lam))
+    """The rotated diagram of lam in its canonical skew embedding."""
+    return _diagram(Partition(lam), True)
 
 
-_rotated = lru_cache(maxsize=1024)(RotatedShape)
+@lru_cache(maxsize=1024)
+def _diagram(lam: Partition, rotated: bool) -> SkewShape:
+    """The straight or rotated diagram of `lam`: shapes are immutable, so
+    every caller of `skew` with no inner part or of `rotate` shares one."""
+    return RotatedShape(lam) if rotated else SkewShape(lam)
 
 
 def partitions(total, max_length=None, max_part=None):

@@ -229,6 +229,25 @@ def test_expand_product_is_the_same_in_any_cap_order(products, cold_caches):
     assert grown == 4 * once
 
 
+def test_expand_product_lowest_degree_is_the_schur_route():
+    # at cap |lam| + |mu| the oracle keeps only the lowest degree of
+    # G_lam * G_mu, whose coordinates are those of s_lam * s_mu on the
+    # Schur basis: every pair of size <= 4 at n = 0..5
+    cases = 0
+    for n in range(6):
+        lams = list(partitions_up_to(4, max_length=max(n, 1)))
+        for lam in lams:
+            for mu in lams:
+                d = lam.size() + mu.size()
+                m = min(n, d)
+                schur = expand_in_schur_basis(multiply(schur_poly(lam, (), m),
+                                                       schur_poly(mu, (), m)))
+                assert schur.items() == grothendieck.expand_product(lam, mu, n, d).items(), \
+                    (lam, mu, n)
+                cases += 1
+    assert cases == 540
+
+
 def test_multiply_matches_reference_on_verify_products(monkeypatch, cold_caches):
     # the oracle runs its own product loop on packed keys; each of its
     # products, read back as exponent tuples in the base of the table it

@@ -585,6 +585,34 @@ def test_inverses_refuse_n_above_the_largest_entry(inverse, shape):
         inverse(filling, tableaux.MAX_ENTRY + 1)
 
 
+def test_inverses_refuse_a_wrong_shape_first_from_one_frame_cache(cold_caches):
+    # every filling holds an entry above n = 2, which a size check would
+    # refuse; the shape is refused first, alike on a second call
+    cases = [
+        (upsilon_inverse, skew((2, 1), (1,)), [[{3}], [{1}]], NotStraightShape,
+         "inner partition Partition(1,) is not empty"),
+        (upsilon_inverse, rotate((2, 1)), [[{3}], [{1}, {2}]], NotStraightShape,
+         "inner partition Partition(1,) is not empty"),
+        (omega_inverse, skew((3, 2), (1,)), [[{5}, {1}], [{1}, {2}]], NotRotatedShape,
+         "SkewShape((3, 2)/(1,)) is not a rotated diagram"),
+        (omega_inverse, skew((2, 1)), [[{1}, {3}], [{2}]], NotRotatedShape,
+         "SkewShape((2, 1)/()) is not a rotated diagram"),
+    ]
+    for inverse, shape, rows, error, message in cases:
+        filling = SetValuedFilling.from_rows(shape, rows)
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                inverse(filling, 2)
+            assert str(info.value) == message
+    # both inverses read their frame from one cache, one entry per shape
+    # and orientation, however many fillings they invert
+    cold_caches()
+    for inverse, shape in ((upsilon_inverse, skew((2, 1))), (omega_inverse, rotate((2, 1)))):
+        for filling in enumerate_svt(shape, 3):
+            inverse(filling, 3)
+    assert gtpatterns._starts.cache_info().misses == 2
+
+
 @pytest.mark.parametrize("inverse, shape, rows, positions", [
     (upsilon_inverse, skew((1, 1)), [[{1, 2}], [{2}]], "[(2, 1)]"),
     (upsilon_inverse, skew((2, 1)), [[{1, 2, 3}, {3}], [{2}]], "[(2, 1), (3, 1)]"),
