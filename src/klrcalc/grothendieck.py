@@ -147,19 +147,26 @@ def _packed_product(aterms, bterms, limit: int) -> dict:
 def multiply(a: SparseIntPolynomial, b: SparseIntPolynomial, cap=None) -> SparseIntPolynomial:
     """Exact product, dropping terms whose total degree exceeds `cap`.
 
-    With no `cap`, the cap is the degree to which the product is complete:
-    a factor capped at c bounds it by c plus the other factor's lowest
-    degree (0 for an empty factor, which errs low); an uncapped one by nothing.
+    A factor capped at c makes the product complete to c plus the other
+    factor's lowest degree (0 for an empty factor, which errs low); an
+    uncapped one bounds nothing.  With no `cap`, the cap is that bound.
+    An explicit `cap` is cut to the bound of each factor that may have lost
+    terms, one capped below n times its lowest degree: a set-valued filling
+    holds at most n entries per cell, so a G polynomial in n variables, or
+    a product of them, has no term past n times its lowest degree.
 
     The oracle's plain reference: the exponent tuples of each pair of terms
     are added, and the constructor cuts the sums at the cap and drops zeros.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} variables vs {b.n}")
-    if cap is None:
-        caps = [x.cap + min(map(sum, y.terms), default=0)
-                for x, y in ((a, b), (b, a)) if x.cap is not None]
-        cap = min(caps) if caps else None
+    la, lb = (min(map(sum, x.terms), default=0) for x in (a, b))
+    capped = [(x.cap + ly, x.cap < x.n * lx) for x, lx, ly in ((a, la, lb), (b, lb, la))
+              if x.cap is not None]
+    caps = [bound for bound, lossy in capped if cap is None or lossy]
+    if cap is not None:
+        caps.append(cap)
+    cap = min(caps) if caps else None
     out = {}
     for (ea, ca), (eb, cb) in product(a.terms.items(), b.terms.items()):
         e = tuple(map(add, ea, eb))

@@ -13,13 +13,15 @@ writes n+1-i, and pattern row j is bottom-row j read from the right.
 strip order.  The passes depend on the pattern alone, so the cached
 `_strips_of` validates a pattern once, takes its two frames from
 `_starts` and runs the passes in both orientations, keeping the unmarked
-cell masks; `_expand` copies them and ORs in the marks of each marking.
-The inverses read one frame per filling shape from `_starts`, which
-refuses a shape of the wrong kind, and `_contract` undoes the passes in
-one pass over the masks, accepting exactly the semistandard fillings
-with entries at most n.  `_recover`, cached on the cells' keys (the pass
-that created each cell), counts and validates each pattern once, since
-every marking of a pattern and both its images read the same keys.
+cell masks in the filling's cell order; `_expand` hands them out for a
+marking with no marks, and otherwise copies them and ORs each mark into
+its cell.  `_contract` is the inverses' one reader: it takes the frame
+of the filling's shape from `_starts`, which refuses a shape of the
+wrong kind, checks n and undoes the passes in one pass over the masks,
+accepting exactly the semistandard fillings with entries at most n.
+`_recover`, cached on the cells' keys (the pass that created each cell),
+counts and validates each pattern once, since every marking of a pattern
+and both its images read the same keys.
 `check_marks` is the one test of a marking, shared by the
 `MarkedGTPattern` constructor, `_contract` and the gamma path in `lr`.
 """
@@ -187,8 +189,10 @@ def _starts(shape, rotated: bool) -> tuple:
 def _strips_of(pattern: GTPattern) -> tuple:
     """Per orientation, straight then rotated, (shape, starts, masks) of
     `pattern` expanded with no marks, on `skew(λ, ())` or `rotate(λ)` for
-    its bottom row λ; DomainError unless the pattern is valid.  Cached on
-    the pattern: validated once, expanded once per orientation."""
+    its bottom row λ, the masks in the filling's cell order; DomainError
+    unless the pattern is valid.  Cached on the pattern: validated once,
+    expanded once per orientation.  The passes write in strip order, so a
+    rotated expansion is reversed once here, not once per marking."""
     if not validate(pattern):
         raise DomainError(f"invalid pattern {pattern!r}")
     n = len(pattern)
@@ -204,7 +208,7 @@ def _strips_of(pattern: GTPattern) -> tuple:
                 have = above[j - 1] if j < i else 0
                 for c in range(have, width):
                     masks[starts[j - 1] + c] = bit
-        strips.append((shape, starts, tuple(masks)))
+        strips.append((shape, starts, tuple(masks[::-1] if rotated else masks)))
     return tuple(strips)
 
 
@@ -215,16 +219,21 @@ def _expand(marked: MarkedGTPattern, rotated: bool) -> SetValuedFilling:
     every pattern row j; a mark (i, j) adds the label to cell x(i-1, j),
     the last cell row j had before the pass.  The passes depend on the
     pattern alone, so `_strips_of` runs them once per pattern and
-    orientation; each marking copies those masks and ORs in its mark
-    labels, in any order, since a cell's label set is a union.
+    orientation; a marking with no marks gets those cached masks, and any
+    other copies them and ORs each mark label into its cell, in any order,
+    since a cell's label set is a union.  Strip position p is cell p, or
+    cell len(masks) - 1 - p when rotated.
     """
     pattern, marks = marked
     shape, starts, strips = _strips_of(pattern)[rotated]
+    if not marks:
+        return SetValuedFilling._trusted(shape, strips)
     masks = list(strips)
-    n = len(pattern)
+    n, last = len(pattern), len(masks) - 1
     for (i, j) in marks:  # markable: x(i-1, j) > x(i, j+1) >= 0
-        masks[starts[j - 1] + pattern[i - 2][j - 1] - 1] |= 1 << (n - i if rotated else i - 1)
-    return SetValuedFilling._trusted(shape, tuple(masks[::-1] if rotated else masks))
+        p = starts[j - 1] + pattern[i - 2][j - 1] - 1
+        masks[last - p if rotated else p] |= 1 << (n - i if rotated else i - 1)
+    return SetValuedFilling._trusted(shape, tuple(masks))
 
 
 def upsilon(marked: MarkedGTPattern) -> SetValuedFilling:
@@ -236,7 +245,7 @@ def upsilon(marked: MarkedGTPattern) -> SetValuedFilling:
     with smaller entries, so this is the unique position where an i can
     be added without breaking semistandardness.
     """
-    return _expand(marked, rotated=False)
+    return _expand(marked, False)
 
 
 def omega(marked: MarkedGTPattern) -> SetValuedFilling:
@@ -247,13 +256,15 @@ def omega(marked: MarkedGTPattern) -> SetValuedFilling:
     n+1-i to the leftmost cell of bottom-row j as it stood before the
     pass, the unique position that keeps the filling semistandard.
     """
-    return _expand(marked, rotated=True)
+    return _expand(marked, True)
 
 
-def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPattern:
-    """The inverse of `_expand`, for a filling with at most n pattern rows
-    and entries at most n, as its cell masks in strip order, pattern row j
-    the cells starts[j-1] .. starts[j]-1.
+def _contract(filling: SetValuedFilling, n, rotated: bool) -> MarkedGTPattern:
+    """The inverses' one reader: the marked pattern that `_expand` turns
+    into `filling`, n defaulting to the larger of the top entry and the
+    pattern row count.  `_starts` gives the frame, pattern row j the masks
+    starts[j-1] .. starts[j]-1 in strip order (cell order, reversed when
+    rotated).
 
     A value v reads as its pass label, v or n+1-v when rotated.  A cell's
     key, its smallest label, is the pass that created it: the lowest set
@@ -263,14 +274,27 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
     pattern, so `_recover`, cached on the keys, builds the counts and
     validates each pattern once; marks and the loose test stay per filling.
 
-    Exactly the semistandard fillings invert.  Failures raise DomainError,
-    checked in this order (an entry above n is `_read`'s to refuse): the
-    keys of row j are at least j and non-decreasing (reported at the first
-    pass i, then row, where a key i lies below row i or after a larger
-    key); the pattern interlaces; the marks are markable, each by its own
-    slack; each mark (v, j) sits in cell x(v-1, j), the last with key at
-    most v-1, so no cell's largest label exceeds the next key.
+    Exactly the semistandard fillings invert.  Failures raise, in this
+    order: `_starts`'s refusal of a shape of the wrong kind; DomainError
+    unless the filling fits in a pattern of size n and n is at most
+    `MAX_ENTRY`; then DomainError unless the keys of row j are at least j
+    and non-decreasing (reported at the first pass i, then row, where a key
+    i lies below row i or after a larger key); the pattern interlaces; the
+    marks, if any, are markable, each by its own slack; each mark (v, j)
+    sits in cell x(v-1, j), the last with key at most v-1, so no cell's
+    largest label exceeds the next key.
     """
+    starts = _starts(filling.shape, rotated)
+    masks = filling.masks[::-1] if rotated else filling.masks
+    # the larger of the top entry (0 if none) and the pattern row count
+    size = max((max(masks) if masks else 0).bit_length(), len(starts) - 1)
+    if n is None:
+        n = size
+    elif size > n:
+        raise DomainError(f"filling does not fit in a pattern of size {n}")
+    if n > MAX_ENTRY:
+        raise DomainError(f"n={n} is above the largest entry {MAX_ENTRY}")
+
     marks, keys, first, loose = set(), [], None, False
     for j in range(1, len(starts)):
         low = high = j  # floors for the next key: the last key, the last label
@@ -303,10 +327,11 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
     pattern = _recover(tuple(keys), starts, n)
     if pattern is None:
         raise DomainError("filling is not semistandard enough to invert")
-    try:
-        check_marks(pattern, marks)
-    except ValueError as exc:
-        raise DomainError(f"recovered marks are not markable: {exc}") from exc
+    if marks:
+        try:
+            check_marks(pattern, marks)
+        except ValueError as exc:
+            raise DomainError(f"recovered marks are not markable: {exc}") from exc
     if loose:
         raise DomainError("filling is not semistandard enough to invert")
     return MarkedGTPattern._trusted(pattern, frozenset(marks))
@@ -316,29 +341,15 @@ def _contract(masks: tuple, starts: tuple, n: int, rotated: bool) -> MarkedGTPat
 def _recover(keys: tuple, starts: tuple, n: int):
     """The pattern of size n whose x(i, j) counts the keys at most i of
     pattern row j, keys[starts[j-1]:starts[j]] (none past the last row), or
-    None unless it interlaces; cached on the keys, so counted on a miss."""
+    None unless it interlaces; cached on the keys, so counted on a miss.
+    Every marking of a pattern and both its images read one entry, but one
+    sweep at |λ| ≤ 6, n ≤ 4 reads 1,317 patterns, more than this cache or
+    `_strips_of` holds, so nothing carries over from one sweep to the next."""
     counts = [tuple(itertools.accumulate(map(keys[a:b].count, range(1, n + 1))))
               for a, b in zip(starts, starts[1:])]
     counts += [(0,) * n] * (n - len(counts))
     pattern = GTPattern._trusted(tuple(row[:i] for i, row in enumerate(zip(*counts), start=1)))
     return pattern if validate(pattern) else None
-
-
-def _read(filling: SetValuedFilling, n, rotated: bool) -> MarkedGTPattern:
-    """Contract `filling`, in the strip order `_expand` writes, once `_starts`
-    has checked its shape; `n` defaults to the larger of the top entry and
-    the row count, and is at most `MAX_ENTRY`."""
-    starts = _starts(filling.shape, rotated)
-    masks = filling.masks[::-1] if rotated else filling.masks
-    top = max(masks, default=0).bit_length()  # the largest entry, 0 if none
-    rows = len(starts) - 1
-    if n is None:
-        n = max(top, rows)
-    elif max(top, rows) > n:
-        raise DomainError(f"filling does not fit in a pattern of size {n}")
-    if n > MAX_ENTRY:
-        raise DomainError(f"n={n} is above the largest entry {MAX_ENTRY}")
-    return _contract(masks, starts, n, rotated)
 
 
 def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
@@ -348,7 +359,7 @@ def upsilon_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     entry at most i; every value sitting in a cell whose minimum is
     smaller contributes one mark.  DomainError unless it is semistandard.
     """
-    return _read(filling, n, rotated=False)
+    return _contract(filling, n, False)
 
 
 def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
@@ -358,7 +369,7 @@ def omega_inverse(filling: SetValuedFilling, n=None) -> MarkedGTPattern:
     cells whose maximum entry is at least n+1-i; every value below a
     cell's maximum contributes one mark.  DomainError unless semistandard.
     """
-    return _read(filling, n, rotated=True)
+    return _contract(filling, n, True)
 
 
 def weight_reversal_check(marked: MarkedGTPattern) -> bool:

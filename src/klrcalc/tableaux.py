@@ -125,7 +125,7 @@ def is_semistandard(filling: SetValuedFilling) -> bool:
 def weight(filling: SetValuedFilling, n=None) -> tuple:
     """Multiplicity vector: component i-1 counts the cells containing i."""
     masks = filling.masks
-    top = max(masks, default=0).bit_length()  # the largest entry
+    top = (max(masks) if masks else 0).bit_length()  # the largest entry
     counts = [0] * (top if n is None else n)
     if top > len(counts):
         raise ValueError(f"entry {top} exceeds requested length {n}")

@@ -33,15 +33,17 @@ def g_poly_by_enumeration(outer, inner, n, caps):
 
 
 def multiply_reference(a, b, cap=None):
-    """Reference: the product as one tuple sum per pair of terms.  With no
-    cap, the degree to which the product is complete: each capped factor's
-    cap plus the other factor's lowest degree (0 when it is empty)."""
-    if cap is None:
-        caps = []
-        for x, y in ((a, b), (b, a)):
-            if x.cap is not None:
-                caps.append(x.cap + min((sum(e) for e in y.terms), default=0))
-        cap = min(caps) if caps else None
+    """Reference: the product as one tuple sum per pair of terms.  A capped
+    factor bounds it by its cap plus the other factor's lowest degree (0
+    when it is empty).  With no cap, the cap is the least bound; an explicit
+    cap is cut to the bound of each factor capped below n times its own
+    lowest degree."""
+    caps = [] if cap is None else [cap]
+    for x, y in ((a, b), (b, a)):
+        low = min((sum(e) for e in x.terms), default=0)
+        if x.cap is not None and (cap is None or x.cap < x.n * low):
+            caps.append(x.cap + min((sum(e) for e in y.terms), default=0))
+    cap = min(caps) if caps else None
     bterms = [(sum(e), e, c) for e, c in b.terms.items()]
     out = {}
     for ea, ca in a.terms.items():
@@ -358,6 +360,20 @@ def test_expand_g_basis_rejects_cap_above_polynomial_cap():
         expand_in_g_basis(square, 4)
     assert expand_in_g_basis(square, 2).coeffs == {Partition((2,)): 1,
                                                    Partition((1, 1)): 1}
+
+
+def test_multiply_cuts_an_explicit_cap_to_what_the_factors_hold():
+    # G_1 in 3 variables capped at 1 lost its terms of degree 2 and 3, so its
+    # square is complete to degree 1 + 1 and no further, whatever cap is asked
+    a = grothendieck_poly((1,), (), 3, 1)
+    square = multiply(a, a, 4)
+    assert square.cap == 2
+    assert expand_in_g_basis(square) == grothendieck.expand_product((1,), (1,), 3, 2)
+    with pytest.raises(ValueError, match=r"^cap 4 is above the polynomial's cap 2$"):
+        expand_in_g_basis(square, 4)
+    # G_1 in 2 variables at its default cap 2 = n * cells lost nothing
+    g = grothendieck_poly((1,), (), 2)
+    assert multiply(g, g, 4).cap == 4 and multiply(g, g).cap == 3
 
 
 def test_expand_g_basis_residual_message(monkeypatch):

@@ -700,6 +700,61 @@ def test_recovered_pattern_is_keyed_on_n(cold_caches):
             assert got.pattern.rows == tuple((0,) * i for i in range(1, n + 1))
 
 
+def _expanded_pass_by_pass(marked, rotated):
+    """The image of `marked` as the module docstring defines it, built with
+    no masks: pass i writes its label i, or n+1-i when rotated, into cells
+    x(i-1, j)+1 .. x(i, j) of pattern row j, that is shape row j from the
+    left, or bottom row j from the right; a mark (i, j) adds the label to
+    cell x(i-1, j) of that row.  Built by the validating constructor."""
+    rows, n = marked.pattern.rows, marked.n
+    lam = Partition(rows[-1] if n else ())
+    entries = collections.defaultdict(set)
+
+    def cell(j, k):  # the k-th cell of pattern row j
+        return (len(lam) + 1 - j, lam[0] + 1 - k) if rotated else (j, k)
+
+    for i in range(1, n + 1):
+        label = n + 1 - i if rotated else i
+        for j in range(1, i + 1):
+            before = rows[i - 2][j - 1] if j < i else 0
+            for k in range(before + 1, rows[i - 1][j - 1] + 1):
+                entries[cell(j, k)].add(label)
+            if (i, j) in marked.marks:
+                entries[cell(j, before)].add(label)
+    return SetValuedFilling(rotate(lam) if rotated else skew(lam), entries)
+
+
+def test_forward_maps_match_a_pass_by_pass_construction(cold_caches):
+    # every marking with |lam| <= 5 and n <= 4, each pattern's first
+    # (unmarked) image built cold and the rest from its cached strips
+    marked = [m for lam in partitions_up_to(5, max_length=4)
+              for n in range(max(1, len(lam)), 5)
+              for x in enumerate_gt(lam, n) for m in marked_patterns(x)]
+    assert len(marked) == 4122
+    for m in marked:
+        for expand, rotated in ((upsilon, False), (omega, True)):
+            expected = _expanded_pass_by_pass(m, rotated)
+            got = expand(m)
+            assert got == expected, (m, rotated)
+            assert type(got.shape) is type(expected.shape)
+    assert sum(len(m.marks) for m in marked) > len(marked)
+
+
+def test_one_sweep_reads_each_pattern_once_per_cache(cold_caches):
+    # the 73 instances of |lam| <= 6, n <= 4 from cold: every marking's two
+    # images and two inverses read their pattern's strips and recovered
+    # pattern from one entry each, and 27 shapes their starts in both
+    # orientations
+    instances = [(lam, n) for n in range(1, 5) for lam in partitions_up_to(6, n)]
+    assert len(instances) == 73
+    for lam, n in instances:
+        assert verify.check_bijections(lam, n) == ""
+    counts = {name: getattr(gtpatterns, name).cache_info()[:2]
+              for name in ("_strips_of", "_recover", "_starts")}
+    assert counts == {"_strips_of": (19449, 1317), "_recover": (19449, 1317),
+                      "_starts": (23346, 54)}
+
+
 def test_expansion_memo_is_exact_and_private():
     marked = [m for lam in partitions_up_to(5, max_length=4)
               for n in range(max(1, len(lam)), 5)
